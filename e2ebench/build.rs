@@ -1,0 +1,20 @@
+//! Stamps the compiler version and build profile into the binary so every
+//! result carries them in its run manifest.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(&rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".into());
+    println!("cargo:rustc-env=E2EBENCH_RUSTC={version}");
+    println!("cargo:rustc-env=E2EBENCH_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
