@@ -1,13 +1,15 @@
 //! Kernel throughput and the alignment performance gate.
 //!
 //! Microbenches the bit-parallel Myers Levenshtein against the classic DP,
-//! interned Jaccard against the `HashSet` formulation, and the batch
-//! scorer against the naive per-call loop. In measure mode (`cargo bench`)
-//! it also writes `BENCH_kernels.json` at the repo root and **enforces**
-//! the performance gates:
+//! interned Jaccard against the `HashSet` formulation, and the prepared
+//! value path against the generic one. In measure mode (`cargo bench`) it
+//! also writes `BENCH_kernels.json` at the repo root and **enforces** the
+//! performance gates, each against a reference measured in the same run:
 //!
-//! * single-thread `paris_align` must be ≥ 3x faster than the PR-7
-//!   baseline recorded on this same datagen profile;
+//! * `prepared_similarity` over the attribute-value pairs of the blocked
+//!   candidates must be ≥ 3x faster (median over repetitions) than
+//!   `value_similarity` over the same raw typed value pairs — and return
+//!   the same bits;
 //! * at 4 threads, `paris_align` and `space_build` must be ≥ 3x over one
 //!   thread — asserted only when `host_cores ≥ 4`, otherwise recorded as
 //!   `scaling_gate: "skipped"` with `host_cores` (a 1-core sweep proves
@@ -21,24 +23,29 @@ use std::time::Instant;
 
 use alex_core::{LinkSpace, SpaceConfig};
 use alex_datagen::{generate_pair, Domain, Flavor, GeneratedPair, PairConfig, SideConfig};
-use alex_linking::Paris;
+use alex_linking::{candidate_pairs, BlockingConfig, Paris};
 use alex_sim::{
-    jaccard_tokens, levenshtein_dp, myers_levenshtein, string_similarity, BatchScorer,
-    PreparedCorpus, PreparedText, TokenInterner,
+    jaccard_tokens, levenshtein_dp, myers_levenshtein, prepared_similarity, typed_value,
+    value_similarity, PreparedText, PreparedValue, TokenInterner, TypedValue,
 };
 
-/// `paris_align_us` at one thread from PR-7's `BENCH_parallel.json`,
-/// measured on this exact datagen profile (seed 42, 120 shared / 200
-/// left-only / 60 right-only, Person+Drug, 0.25 confusable).
-const PR7_PARIS_ALIGN_US: f64 = 368_054.0;
+/// Minimum median speedup of `prepared_similarity` over `value_similarity`
+/// on the same value pairs.
+const PREPARED_GATE: f64 = 3.0;
+
+/// Repetitions of each timed region, alternated between the two paths.
+const REPETITIONS: usize = 7;
+
+/// Cap on the value pairs timed per repetition.
+const MAX_VALUE_PAIRS: usize = 20_000;
 
 /// Estimated per-chunk dispatch overhead (spawn amortization, cursor and
 /// slot traffic, reassembly) — the floor a chunk's mean work must clear
 /// for parallelism to pay.
 const DISPATCH_OVERHEAD_US: f64 = 50.0;
 
-/// The datagen profile shared with `space_build.rs` — the gate compares
-/// against PR-7 numbers recorded on this exact profile.
+/// The datagen profile shared with `space_build.rs` (seed 42, 120 shared /
+/// 200 left-only / 60 right-only, Person+Drug, 0.25 confusable).
 fn pair() -> GeneratedPair {
     generate_pair(&PairConfig {
         seed: 42,
@@ -125,17 +132,13 @@ fn bench_kernels(c: &mut Criterion) {
             }
         })
     });
-    g.bench_function("batch_scorer_100", |b| {
-        let mut interner = TokenInterner::new();
-        let mut corpus = PreparedCorpus::new();
-        for i in 0..100 {
-            corpus.push(&format!("Candidate Entity Number {i}"), &mut interner);
-        }
-        let scorer = BatchScorer::new("Candidate Entity Number 42", &mut interner);
+    g.bench_function("prepared_similarity_mixed", |b| {
+        let pairs = value_pairs(&pair());
+        let prepared = prepare_pairs(&pairs);
         b.iter(|| {
-            let mut out = Vec::with_capacity(100);
-            scorer.score_batch(black_box(&corpus), &mut out);
-            black_box(out);
+            for (x, y) in &prepared {
+                black_box(prepared_similarity(black_box(x), black_box(y)));
+            }
         })
     });
     g.finish();
@@ -151,6 +154,54 @@ fn mean_us(iters: u32, mut f: impl FnMut()) -> f64 {
         f();
     }
     start.elapsed().as_micros() as f64 / iters as f64
+}
+
+/// Every attribute-value pair of the first blocked candidate pairs, as
+/// raw typed values: the comparisons PARIS and the space build make.
+fn value_pairs(pair: &GeneratedPair) -> Vec<(TypedValue, TypedValue)> {
+    let (left, right) = (&pair.left, &pair.right);
+    let (li, ri) = (left.entity_index(), right.entity_index());
+    let attrs = |ds: &alex_rdf::Dataset, term| -> Vec<TypedValue> {
+        ds.graph()
+            .matching(Some(term), None, None)
+            .map(|t| typed_value(ds, t.object))
+            .collect()
+    };
+    let mut out = Vec::new();
+    for (l, r) in candidate_pairs(left, &li, right, &ri, &BlockingConfig::default()) {
+        let (la, ra) = (attrs(left, li.term(l)), attrs(right, ri.term(r)));
+        for x in &la {
+            for y in &ra {
+                out.push((x.clone(), y.clone()));
+            }
+        }
+        if out.len() >= MAX_VALUE_PAIRS {
+            break;
+        }
+    }
+    out.truncate(MAX_VALUE_PAIRS);
+    out
+}
+
+/// The same pairs prepared against one shared interner, as the linking
+/// hot loops prepare them.
+fn prepare_pairs(pairs: &[(TypedValue, TypedValue)]) -> Vec<(PreparedValue, PreparedValue)> {
+    let mut interner = TokenInterner::new();
+    pairs
+        .iter()
+        .map(|(x, y)| {
+            (
+                PreparedValue::prepare(x.clone(), &mut interner),
+                PreparedValue::prepare(y.clone(), &mut interner),
+            )
+        })
+        .collect()
+}
+
+/// Median, minimum and maximum of `xs`.
+fn spread(xs: &mut [f64]) -> (f64, f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    (xs[xs.len() / 2], xs[0], xs[xs.len() - 1])
 }
 
 /// Mean nanoseconds per call of `f` over `iters` calls.
@@ -205,27 +256,41 @@ fn write_snapshot() {
             black_box(alex_sim::jaccard_ids(px.token_ids(), py.token_ids()));
         }
     });
-    let mut corpus = PreparedCorpus::new();
-    let candidates: Vec<String> = (0..100)
-        .map(|i| format!("Candidate Entity Number {i}"))
-        .collect();
-    for cand in &candidates {
-        corpus.push(cand, &mut interner);
-    }
-    let probe = "Candidate Entity Number 42";
-    let scorer = BatchScorer::new(probe, &mut interner);
-    let batch_ns = mean_ns(200, || {
-        let mut out = Vec::with_capacity(100);
-        scorer.score_batch(&corpus, &mut out);
-        black_box(out);
-    });
-    let naive_ns = mean_ns(200, || {
-        for cand in &candidates {
-            black_box(string_similarity(probe, cand));
-        }
-    });
 
-    // Single-thread alignment gate vs the PR-7 recorded baseline.
+    // Prepared vs generic value path on the same pairs, repetitions
+    // alternated so host drift hits both alike.
+    let raw_pairs = value_pairs(&pair);
+    let prepared_pairs = prepare_pairs(&raw_pairs);
+    for ((x, y), (px, py)) in raw_pairs.iter().zip(&prepared_pairs) {
+        assert_eq!(
+            prepared_similarity(px, py).to_bits(),
+            value_similarity(x, y).to_bits(),
+            "{x:?} vs {y:?}"
+        );
+    }
+    let mut reference_us = Vec::with_capacity(REPETITIONS);
+    let mut prepared_us = Vec::with_capacity(REPETITIONS);
+    let mut speedups = Vec::with_capacity(REPETITIONS);
+    for _ in 0..REPETITIONS {
+        let reference = mean_us(1, || {
+            for (x, y) in &raw_pairs {
+                black_box(value_similarity(black_box(x), black_box(y)));
+            }
+        });
+        let prepared = mean_us(1, || {
+            for (x, y) in &prepared_pairs {
+                black_box(prepared_similarity(black_box(x), black_box(y)));
+            }
+        });
+        reference_us.push(reference);
+        prepared_us.push(prepared);
+        speedups.push(reference / prepared);
+    }
+    let (reference_med, reference_min, reference_max) = spread(&mut reference_us);
+    let (prepared_med, prepared_min, prepared_max) = spread(&mut prepared_us);
+    let (speedup_med, speedup_min, speedup_max) = spread(&mut speedups);
+
+    // Single-thread alignment and space build, for the record.
     alex_parallel::set_threads(1);
     let paris_1t_us = mean_us(3, || {
         black_box(Paris::new().link(&pair.left, &pair.right));
@@ -234,7 +299,6 @@ fn write_snapshot() {
         black_box(LinkSpace::build(&pair.left, &pair.right, &cfg));
     });
     alex_parallel::set_threads(0);
-    let st_speedup = PR7_PARIS_ALIGN_US / paris_1t_us;
 
     // 4-thread scaling gate — only meaningful with ≥ 4 real cores.
     let (scaling_gate, scaling_row) = if cores >= 4 {
@@ -292,18 +356,26 @@ fn write_snapshot() {
     );
 
     assert!(
-        st_speedup >= 3.0,
-        "single-thread paris_align {paris_1t_us:.0}µs is only {st_speedup:.2}x \
-         over the PR-7 baseline {PR7_PARIS_ALIGN_US:.0}µs — below the 3x gate"
+        speedup_med >= PREPARED_GATE,
+        "prepared_similarity {prepared_med:.0}µs is only {speedup_med:.2}x over \
+         value_similarity {reference_med:.0}µs on the same {} pairs — below the \
+         {PREPARED_GATE}x gate",
+        raw_pairs.len()
     );
 
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"host_cores\": {cores},\n  \
-         \"pr7_paris_align_us\": {PR7_PARIS_ALIGN_US:.1},\n  \
+         \"repetitions\": {REPETITIONS},\n  \
+         \"value_pairs\": {},\n  \
+         \"reference_value_similarity_us\": {{\"median\": {reference_med:.1}, \
+         \"min\": {reference_min:.1}, \"max\": {reference_max:.1}}},\n  \
+         \"prepared_similarity_us\": {{\"median\": {prepared_med:.1}, \
+         \"min\": {prepared_min:.1}, \"max\": {prepared_max:.1}}},\n  \
+         \"prepared_speedup\": {{\"median\": {speedup_med:.2}, \
+         \"min\": {speedup_min:.2}, \"max\": {speedup_max:.2}}},\n  \
+         \"prepared_gate\": {PREPARED_GATE:.1},\n  \
          \"paris_align_us\": {paris_1t_us:.1},\n  \
          \"space_build_us\": {space_1t_us:.1},\n  \
-         \"single_thread_speedup_vs_pr7\": {st_speedup:.2},\n  \
-         \"single_thread_gate\": \"passed\",\n  \
          \"scaling_gate\": \"{scaling_gate}\"{scaling_row},\n  \
          \"paris_functionality_mean_chunk_us\": {fun_chunk_us:.1},\n  \
          \"dispatch_overhead_us\": {DISPATCH_OVERHEAD_US:.1},\n  \
@@ -312,13 +384,10 @@ fn write_snapshot() {
          \"myers_vs_dp_speedup\": {:.2},\n    \
          \"jaccard_hashset_ns_per_sweep\": {jaccard_hash_ns:.0},\n    \
          \"jaccard_interned_ns_per_sweep\": {jaccard_interned_ns:.0},\n    \
-         \"jaccard_interned_speedup\": {:.2},\n    \
-         \"batch_ns_per_100\": {batch_ns:.0},\n    \
-         \"naive_ns_per_100\": {naive_ns:.0},\n    \
-         \"batch_vs_naive_speedup\": {:.2}\n  }}\n}}\n",
+         \"jaccard_interned_speedup\": {:.2}\n  }}\n}}\n",
+        raw_pairs.len(),
         dp_ns / myers_ns,
         jaccard_hash_ns / jaccard_interned_ns,
-        naive_ns / batch_ns,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     match std::fs::write(path, &json) {

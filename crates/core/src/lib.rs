@@ -92,7 +92,7 @@ pub use persist::{AgentState, EpisodeRecord, EpisodeStats, RunSnapshot};
 pub use policy::Policy;
 pub use provenance::{Provenance, StateAction};
 pub use query_feedback::{workload_from_links, workload_requiring_links, QueryFeedback};
-pub use space::{LinkSpace, PairId, SpaceConfig};
+pub use space::{LinkSpace, PairId, SpaceConfig, SpaceInputs};
 pub use trust_gate::{AdmissionRecord, TrustGate};
 pub use users::{UserPopulation, UserProfile};
 pub use value_fn::ActionValue;

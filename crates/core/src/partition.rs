@@ -19,7 +19,7 @@ use crate::config::AlexConfig;
 use crate::driver::StopReason;
 use crate::feedback::OracleFeedback;
 use crate::metrics::{EpisodeReport, Quality};
-use crate::space::{LinkSpace, PairId, SpaceConfig};
+use crate::space::{LinkSpace, PairId, SpaceConfig, SpaceInputs};
 
 /// Configuration for a partitioned run.
 #[derive(Debug, Clone)]
@@ -29,8 +29,8 @@ pub struct PartitionedConfig {
     /// Agent configuration. `episode_size` is the *global* per-episode
     /// feedback budget, split across partitions.
     pub alex: AlexConfig,
-    /// Space construction configuration (its `partition` field is set per
-    /// partition internally).
+    /// Space construction configuration (its `partition` field is ignored:
+    /// every partition's space is built internally).
     pub space: SpaceConfig,
     /// Oracle error rate (Appendix C uses 0.10).
     pub feedback_error_rate: f64,
@@ -179,38 +179,42 @@ pub fn run_partitioned(
     let run_span = span("improve_partitioned");
     let n = cfg.partitions;
 
+    // Indexes, prepared values and blocked candidates depend only on the
+    // data sets: prepare them once and share them with every partition's
+    // space. Each space keeps its own partition's candidates in blocking
+    // order, so it is exactly the space `LinkSpace::build` would give it.
+    let build_span = span("build_spaces");
+    let inputs = SpaceInputs::prepare(left, right, &cfg.space.blocking);
+
     // Global id mapping (identical in every partition's space).
-    let left_index = left.entity_index();
-    let right_index = right.entity_index();
     let to_ids = |pairs: &[(Term, Term)]| -> Vec<(u32, u32)> {
         pairs
             .iter()
-            .filter_map(|&(l, r)| Some((left_index.id(l)?, right_index.id(r)?)))
+            .filter_map(|&(l, r)| Some((inputs.left_index().id(l)?, inputs.right_index().id(r)?)))
             .collect()
     };
     let initial_ids = to_ids(initial);
     let truth_ids: HashSet<(u32, u32)> = to_ids(truth).into_iter().collect();
 
     // Build spaces in parallel, one per partition.
-    let spaces: Vec<LinkSpace> = {
-        let _s = span("build_spaces");
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut space_cfg = cfg.space.clone();
-                    space_cfg.partition = Some((i, n));
-                    s.spawn(move || LinkSpace::build(left, right, &space_cfg))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        })
-    };
+    let spaces: Vec<LinkSpace> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let inputs = &inputs;
+                let theta = cfg.space.theta;
+                s.spawn(move || LinkSpace::from_inputs(inputs, theta, Some((i, n))))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(v) => v,
+                Err(panic) => std::panic::resume_unwind(panic),
+            })
+            .collect()
+    });
+    drop(inputs);
+    drop(build_span);
 
     // Assemble partition states.
     let mut states: Vec<PartitionState> = spaces

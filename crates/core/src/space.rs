@@ -12,8 +12,14 @@
 //! The exploration primitive (§4.2) — "find all links whose value for
 //! feature `f` lies in `[v − step, v + step]`" — is served by per-feature
 //! arrays sorted by score (binary search, output-linear).
+//!
+//! Everything a build derives from the two data sets alone — entity
+//! indexes, prepared attribute values, blocked candidates — lives in
+//! [`SpaceInputs`], so the partitioned driver (§6.2) prepares it once and
+//! every partition's space shares it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use alex_linking::{candidate_pairs, BlockingConfig};
 use alex_rdf::{Dataset, EntityIndex, Term};
@@ -49,14 +55,72 @@ impl Default for SpaceConfig {
     }
 }
 
-/// The filtered space of candidate links.
-#[derive(Debug, Clone)]
-pub struct LinkSpace {
-    catalog: FeatureCatalog,
+/// Entity indexes and prepared attribute values of both data sets. Built
+/// once per pair of data sets and shared, behind an [`Arc`], by every
+/// space built from them and every clone of those spaces.
+#[derive(Debug)]
+struct Sides {
     left_index: EntityIndex,
     right_index: EntityIndex,
     left_values: SideValues,
     right_values: SideValues,
+}
+
+/// The inputs of a link-space build that depend only on the two data sets
+/// and the blocking configuration: both entity indexes, both sides'
+/// prepared attribute values, and the blocked candidate pairs in blocking
+/// order.
+///
+/// [`LinkSpace::build`] prepares them for one space; the partitioned
+/// driver prepares them once and builds every partition's space from them
+/// with [`LinkSpace::from_inputs`], which yields exactly the space
+/// `LinkSpace::build` yields for that partition.
+#[derive(Debug)]
+pub struct SpaceInputs {
+    sides: Arc<Sides>,
+    candidates: Vec<(u32, u32)>,
+}
+
+impl SpaceInputs {
+    /// Index both data sets, prepare every entity's attribute values, and
+    /// enumerate the blocked candidate pairs.
+    pub fn prepare(left: &Dataset, right: &Dataset, blocking: &BlockingConfig) -> SpaceInputs {
+        let left_index = left.entity_index();
+        let right_index = right.entity_index();
+        // One interner spans both sides: the interned-Jaccard kernel
+        // compares token ids across data sets, so both must intern into
+        // the same id space.
+        let mut interner = alex_sim::TokenInterner::new();
+        let left_values = SideValues::build(left, &left_index, &mut interner);
+        let right_values = SideValues::build(right, &right_index, &mut interner);
+        let candidates = candidate_pairs(left, &left_index, right, &right_index, blocking);
+        SpaceInputs {
+            sides: Arc::new(Sides {
+                left_index,
+                right_index,
+                left_values,
+                right_values,
+            }),
+            candidates,
+        }
+    }
+
+    /// The left entity index.
+    pub fn left_index(&self) -> &EntityIndex {
+        &self.sides.left_index
+    }
+
+    /// The right entity index.
+    pub fn right_index(&self) -> &EntityIndex {
+        &self.sides.right_index
+    }
+}
+
+/// The filtered space of candidate links.
+#[derive(Debug, Clone)]
+pub struct LinkSpace {
+    catalog: FeatureCatalog,
+    sides: Arc<Sides>,
     pairs: Vec<(u32, u32)>,
     pair_lookup: HashMap<(u32, u32), PairId>,
     features: Vec<FeatureSet>,
@@ -69,21 +133,34 @@ pub struct LinkSpace {
 impl LinkSpace {
     /// Build the space for a pair of data sets.
     pub fn build(left: &Dataset, right: &Dataset, cfg: &SpaceConfig) -> LinkSpace {
-        let left_index = left.entity_index();
-        let right_index = right.entity_index();
-        // One interner spans both sides: the interned-Jaccard kernel
-        // compares token ids across data sets, so both must intern into
-        // the same id space.
-        let mut interner = alex_sim::TokenInterner::new();
-        let left_values = SideValues::build(left, &left_index, &mut interner);
-        let right_values = SideValues::build(right, &right_index, &mut interner);
+        let inputs = SpaceInputs::prepare(left, right, &cfg.blocking);
+        LinkSpace::from_inputs(&inputs, cfg.theta, cfg.partition)
+    }
 
-        let mut candidates = candidate_pairs(left, &left_index, right, &right_index, &cfg.blocking);
-        if let Some((i, n)) = cfg.partition {
-            assert!(n > 0 && i < n, "partition index out of range");
-            candidates.retain(|&(l, _)| l as usize % n == i);
-        }
+    /// Build the space at θ = `theta` from prepared inputs, restricted to
+    /// `partition` as in [`SpaceConfig::partition`]. The space shares the
+    /// inputs' indexes and prepared values rather than copying them.
+    pub fn from_inputs(
+        inputs: &SpaceInputs,
+        theta: f64,
+        partition: Option<(usize, usize)>,
+    ) -> LinkSpace {
+        let restricted: Vec<(u32, u32)>;
+        let candidates: &[(u32, u32)] = match partition {
+            Some((i, n)) => {
+                assert!(n > 0 && i < n, "partition index out of range");
+                restricted = inputs
+                    .candidates
+                    .iter()
+                    .copied()
+                    .filter(|&(l, _)| l as usize % n == i)
+                    .collect();
+                &restricted
+            }
+            None => &inputs.candidates,
+        };
         let blocked_pairs = candidates.len();
+        let sides = Arc::clone(&inputs.sides);
 
         // Similarity is the O(pairs × attrs²) hot loop: workers compute
         // catalog-free raw feature sets for candidate chunks, then the
@@ -92,8 +169,12 @@ impl LinkSpace {
         // feature ids (and everything downstream) are byte-identical at
         // any thread count.
         let pool = alex_parallel::Pool::new("space_build");
-        let raw = pool.map(&candidates, |&(l, r)| {
-            raw_feature_set(left_values.attrs(l), right_values.attrs(r), cfg.theta)
+        let raw = pool.map(candidates, |&(l, r)| {
+            raw_feature_set(
+                sides.left_values.attrs(l),
+                sides.right_values.attrs(r),
+                theta,
+            )
         });
 
         let mut catalog = FeatureCatalog::new();
@@ -114,15 +195,12 @@ impl LinkSpace {
             .collect();
         let mut space = LinkSpace {
             catalog,
-            left_index,
-            right_index,
-            left_values,
-            right_values,
+            sides,
             pairs,
             pair_lookup,
             features,
             by_feature: HashMap::new(),
-            theta: cfg.theta,
+            theta,
             blocked_pairs,
             admitted: Vec::new(),
         };
@@ -160,7 +238,7 @@ impl LinkSpace {
     /// `|left entities in partition| × |right entities|`, the paper's
     /// "TotalLinks" bar in Fig. 5(a).
     pub fn total_possible(&self) -> u64 {
-        self.left_index.len() as u64 * self.right_index.len() as u64
+        self.sides.left_index.len() as u64 * self.sides.right_index.len() as u64
     }
 
     /// Number of candidate pairs enumerated by blocking, before the θ filter.
@@ -180,12 +258,12 @@ impl LinkSpace {
 
     /// The left entity index.
     pub fn left_index(&self) -> &EntityIndex {
-        &self.left_index
+        &self.sides.left_index
     }
 
     /// The right entity index.
     pub fn right_index(&self) -> &EntityIndex {
-        &self.right_index
+        &self.sides.right_index
     }
 
     /// Entity ids of a pair.
@@ -196,7 +274,10 @@ impl LinkSpace {
     /// Entity terms of a pair.
     pub fn pair_terms(&self, id: PairId) -> (Term, Term) {
         let (l, r) = self.pair(id);
-        (self.left_index.term(l), self.right_index.term(r))
+        (
+            self.sides.left_index.term(l),
+            self.sides.right_index.term(r),
+        )
     }
 
     /// The pair id for `(left, right)` entity ids, if in the space.
@@ -224,8 +305,8 @@ impl LinkSpace {
             return id;
         }
         let sf = feature_set(
-            self.left_values.attrs(left),
-            self.right_values.attrs(right),
+            self.sides.left_values.attrs(left),
+            self.sides.right_values.attrs(right),
             self.theta,
             &mut self.catalog,
         );
@@ -457,6 +538,74 @@ mod tests {
             total += LinkSpace::build(&left, &right, &cfg).len();
         }
         assert_eq!(total, full.len());
+    }
+
+    /// Spaces built from one shared [`SpaceInputs`] are exactly the spaces
+    /// per-partition [`LinkSpace::build`] calls give: same pairs, feature
+    /// ids, feature definitions, score bits and fingerprint, at 1 and 4
+    /// threads.
+    #[test]
+    fn shared_inputs_match_per_partition_builds() {
+        use alex_datagen::{generate_pair, DatasetKind, PairSpec};
+        let spec = PairSpec::of(DatasetKind::OpenCycNba, DatasetKind::NYTimes);
+        let pair = generate_pair(&spec.config(11));
+        let (left, right) = (&pair.left, &pair.right);
+        let cfg = SpaceConfig::default();
+        let fingerprint_of = |space: &LinkSpace| {
+            let features: Vec<Vec<(FeatureId, u64)>> = space
+                .pair_ids()
+                .map(|id| {
+                    let sf = space.feature_set_of(id);
+                    sf.iter().map(|&(f, score)| (f, score.to_bits())).collect()
+                })
+                .collect();
+            let catalog: Vec<_> = space.catalog().iter().collect();
+            (
+                space.fingerprint(),
+                space
+                    .pair_ids()
+                    .map(|id| space.pair(id))
+                    .collect::<Vec<_>>(),
+                features,
+                format!("{catalog:?}"),
+                space.blocked_pairs(),
+            )
+        };
+        for threads in [1, 4] {
+            alex_parallel::set_threads(threads);
+            let inputs = SpaceInputs::prepare(left, right, &cfg.blocking);
+            for n in [1, 3, 4] {
+                for i in 0..n {
+                    let shared = LinkSpace::from_inputs(&inputs, cfg.theta, Some((i, n)));
+                    let alone = LinkSpace::build(
+                        left,
+                        right,
+                        &SpaceConfig {
+                            partition: Some((i, n)),
+                            ..cfg.clone()
+                        },
+                    );
+                    assert!(!alone.is_empty(), "partition {i}/{n} is empty");
+                    assert_eq!(
+                        fingerprint_of(&shared),
+                        fingerprint_of(&alone),
+                        "partition {i}/{n} at {threads} threads"
+                    );
+                }
+            }
+            let whole = LinkSpace::from_inputs(&inputs, cfg.theta, None);
+            let alone = LinkSpace::build(left, right, &cfg);
+            assert_eq!(fingerprint_of(&whole), fingerprint_of(&alone));
+            alex_parallel::set_threads(0);
+        }
+    }
+
+    #[test]
+    fn clones_share_prepared_sides() {
+        let (left, right) = datasets();
+        let space = LinkSpace::build(&left, &right, &SpaceConfig::default());
+        let copy = space.clone();
+        assert!(Arc::ptr_eq(&space.sides, &copy.sides));
     }
 
     #[test]

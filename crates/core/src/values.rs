@@ -3,11 +3,12 @@
 //! Building the link space evaluates millions of value similarities; parsing
 //! and classifying each RDF term on every comparison would dominate the
 //! cost. [`SideValues`] resolves, classifies, *and prepares* every entity's
-//! attribute values once per side: each value carries its normalized form,
-//! token spans, and interned Jaccard token ids ([`PreparedValue`]), so the
-//! similarity hot loop never re-normalizes a string or allocates a
-//! `HashSet`. Both sides of a comparison must be built against one shared
-//! [`TokenInterner`] — token ids are only meaningful within an interner.
+//! attribute values once per side: each value carries its string form's
+//! decoded tokens and interned Jaccard token ids, and a text value its
+//! sniffed typed value ([`PreparedValue`]), so the similarity hot loop
+//! never re-normalizes a string or allocates a `HashSet`. Both sides of a
+//! comparison must be built against one shared [`TokenInterner`] — token
+//! ids are only meaningful within an interner.
 
 use alex_rdf::{Dataset, EntityIndex, Sym};
 use alex_sim::{typed_value, PreparedValue, TokenInterner};
@@ -88,9 +89,7 @@ mod tests {
             .iter()
             .any(|(_, v)| matches!(v.value(), TypedValue::Text(s) if s == "Alpha")));
         // Text values arrive pre-tokenized with interned ids.
-        assert!(attrs
-            .iter()
-            .any(|(_, v)| v.text().is_some_and(|t| !t.token_ids().is_empty())));
+        assert!(attrs.iter().all(|(_, v)| !v.text().token_ids().is_empty()));
         assert!(!interner.is_empty());
     }
 

@@ -6,10 +6,7 @@
 //! bench compares the two.
 
 use alex_rdf::{Dataset, EntityIndex, Term};
-use alex_sim::{
-    prepared_similarity, term_similarity, typed_value, BatchScorer, PreparedCorpus, PreparedText,
-    PreparedValue, TokenInterner, TypedValue,
-};
+use alex_sim::{prepared_similarity, term_similarity, typed_value, PreparedValue, TokenInterner};
 
 use crate::blocking::{candidate_pairs, BlockingConfig};
 use crate::candidates::{LinkSet, LinkerOutput, ScoredLink};
@@ -35,29 +32,24 @@ impl Default for LabelBaseline {
 impl LabelBaseline {
     /// Link `left` and `right` by best literal-value similarity.
     ///
-    /// Each left entity's text literals become probes — one precompiled
-    /// [`BatchScorer`] apiece — swept over each right entity's text
-    /// literals packed in a [`PreparedCorpus`]; remaining literal pairs go
-    /// through [`prepared_similarity`]. Scores are byte-identical to the
-    /// naive per-pair [`best_literal_similarity`] oracle (tested below):
-    /// the batch kernel equals `string_similarity`, and `max` is
-    /// order-independent.
+    /// Every entity's literal values are prepared once; each candidate
+    /// pair then scores every literal pair with [`prepared_similarity`],
+    /// which is bitwise [`alex_sim::value_similarity`] — so scores equal
+    /// the naive per-pair [`best_literal_similarity`] oracle (tested
+    /// below), visiting pairs in the same order with the same ≥ 1.0
+    /// short-circuit.
     pub fn link(&self, left: &Dataset, right: &Dataset) -> LinkerOutput {
         let left_index = left.entity_index();
         let right_index = right.entity_index();
         let pairs = candidate_pairs(left, &left_index, right, &right_index, &self.blocking);
 
         let mut interner = TokenInterner::new();
-        let probes: Vec<ProbeEntity> = (0..left_index.len() as u32)
-            .map(|id| ProbeEntity::build(left, &left_index, id, &mut interner))
-            .collect();
-        let cands: Vec<CandidateEntity> = (0..right_index.len() as u32)
-            .map(|id| CandidateEntity::build(right, &right_index, id, &mut interner))
-            .collect();
+        let left_values = literal_values(left, &left_index, &mut interner);
+        let right_values = literal_values(right, &right_index, &mut interner);
 
         let mut links = LinkSet::new();
         for (lid, rid) in pairs {
-            let score = probes[lid as usize].best_against(&cands[rid as usize]);
+            let score = best_prepared(&left_values[lid as usize], &right_values[rid as usize]);
             if score >= self.threshold {
                 links.push(ScoredLink {
                     left: lid,
@@ -74,111 +66,41 @@ impl LabelBaseline {
     }
 }
 
-/// A left entity's literal values, prepared once: a compiled batch scorer
-/// per text literal, plus every literal's [`PreparedValue`] for the mixed
-/// and non-text combinations.
-struct ProbeEntity {
-    values: Vec<PreparedValue>,
-    /// One scorer per `Text` entry of `values`, in the same order.
-    scorers: Vec<BatchScorer>,
-}
-
-/// A right entity's literal values, prepared once: its text literals
-/// packed in an arena corpus for batch sweeps, plus every literal's
-/// [`PreparedValue`].
-struct CandidateEntity {
-    values: Vec<PreparedValue>,
-    text_corpus: PreparedCorpus,
-}
-
+/// Every indexed entity's literal values, prepared against `interner`.
 fn literal_values(
     ds: &Dataset,
     idx: &EntityIndex,
-    id: u32,
     interner: &mut TokenInterner,
-) -> Vec<PreparedValue> {
-    ds.graph()
-        .matching(Some(idx.term(id)), None, None)
-        .filter(|t| t.object.is_literal())
-        .map(|t| PreparedValue::prepare(typed_value(ds, t.object), interner))
+) -> Vec<Vec<PreparedValue>> {
+    (0..idx.len() as u32)
+        .map(|id| {
+            ds.graph()
+                .matching(Some(idx.term(id)), None, None)
+                .filter(|t| t.object.is_literal())
+                .map(|t| PreparedValue::prepare(typed_value(ds, t.object), interner))
+                .collect()
+        })
         .collect()
 }
 
-fn is_text(v: &PreparedValue) -> bool {
-    matches!(v.value(), TypedValue::Text(_))
-}
-
-impl ProbeEntity {
-    fn build(
-        ds: &Dataset,
-        idx: &EntityIndex,
-        id: u32,
-        interner: &mut TokenInterner,
-    ) -> ProbeEntity {
-        let values = literal_values(ds, idx, id, interner);
-        let scorers = values
-            .iter()
-            .filter(|v| is_text(v))
-            .map(|v| {
-                let text = v.text().cloned().unwrap_or_else(PreparedText::default);
-                BatchScorer::from_prepared(text)
-            })
-            .collect();
-        ProbeEntity { values, scorers }
-    }
-
-    /// The best similarity between any literal of this entity and any
-    /// literal of `cand` — equal to [`best_literal_similarity`] on the raw
-    /// terms, including its ≥ 1.0 short-circuit.
-    fn best_against(&self, cand: &CandidateEntity) -> f64 {
-        let mut best = 0.0f64;
-        // Text × text: batch kernel sweeps over the packed corpus.
-        for scorer in &self.scorers {
-            best = best.max(scorer.best_in(&cand.text_corpus));
+/// The best similarity between any value of `left` and any of `right` —
+/// [`best_literal_similarity`] on prepared values.
+fn best_prepared(left: &[PreparedValue], right: &[PreparedValue]) -> f64 {
+    let mut best: f64 = 0.0;
+    for lv in left {
+        for rv in right {
+            best = best.max(prepared_similarity(lv, rv));
             if best >= 1.0 {
                 return 1.0;
             }
         }
-        // Every combination with a non-text side: generic prepared path.
-        for lv in &self.values {
-            for rv in &cand.values {
-                if is_text(lv) && is_text(rv) {
-                    continue;
-                }
-                best = best.max(prepared_similarity(lv, rv));
-                if best >= 1.0 {
-                    return 1.0;
-                }
-            }
-        }
-        best
     }
-}
-
-impl CandidateEntity {
-    fn build(
-        ds: &Dataset,
-        idx: &EntityIndex,
-        id: u32,
-        interner: &mut TokenInterner,
-    ) -> CandidateEntity {
-        let values = literal_values(ds, idx, id, interner);
-        let mut text_corpus = PreparedCorpus::new();
-        for v in values.iter().filter(|v| is_text(v)) {
-            if let Some(text) = v.text() {
-                text_corpus.push_prepared(text);
-            }
-        }
-        CandidateEntity {
-            values,
-            text_corpus,
-        }
-    }
+    best
 }
 
 /// The best similarity between any literal value of `l` and any literal
 /// value of `r` — the naive per-pair formulation, kept as the oracle the
-/// batched path in [`LabelBaseline::link`] is tested against.
+/// prepared path in [`LabelBaseline::link`] is tested against.
 pub fn best_literal_similarity(left: &Dataset, l: Term, right: &Dataset, r: Term) -> f64 {
     let mut best: f64 = 0.0;
     for lt in left.graph().matching(Some(l), None, None) {
@@ -201,6 +123,7 @@ pub fn best_literal_similarity(left: &Dataset, l: Term, right: &Dataset, r: Term
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alex_rdf::vocab;
 
     fn datasets() -> (Dataset, Dataset) {
         let mut left = Dataset::new("L");
@@ -251,9 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_scoring_matches_naive_oracle() {
+    fn prepared_scoring_matches_naive_oracle() {
         // Mixed-kind literals: text, numeric-looking text, typed years,
-        // plus multi-valued entities — every dispatch arm of the batched
+        // plus multi-valued entities — every dispatch arm of the prepared
         // path must agree bitwise with the naive per-pair oracle.
         let mut left = Dataset::new("L");
         left.add_str("http://l/a", "http://l/label", "LeBron James");
@@ -261,25 +184,23 @@ mod tests {
         left.add_str("http://l/b", "http://l/label", "Café München");
         left.add_str("http://l/b", "http://l/alt", "cafe muenchen");
         left.add_str("http://l/c", "http://l/num", "42");
+        left.add_typed("http://l/c", "http://l/code", "1984", vocab::XSD_STRING);
         let mut right = Dataset::new("R");
         right.add_str("http://r/1", "http://r/name", "James, LeBron");
         right.add_str("http://r/1", "http://r/year", "1984");
         right.add_str("http://r/2", "http://r/name", "Cafe Munchen");
         right.add_str("http://r/3", "http://r/name", "42.0");
+        right.add_typed("http://r/3", "http://r/born", "1985-02-01", vocab::XSD_DATE);
         let (li, ri) = (left.entity_index(), right.entity_index());
 
         let mut interner = TokenInterner::new();
-        let probes: Vec<ProbeEntity> = (0..li.len() as u32)
-            .map(|id| ProbeEntity::build(&left, &li, id, &mut interner))
-            .collect();
-        let cands: Vec<CandidateEntity> = (0..ri.len() as u32)
-            .map(|id| CandidateEntity::build(&right, &ri, id, &mut interner))
-            .collect();
+        let lv = literal_values(&left, &li, &mut interner);
+        let rv = literal_values(&right, &ri, &mut interner);
         for l in 0..li.len() as u32 {
             for r in 0..ri.len() as u32 {
-                let batched = probes[l as usize].best_against(&cands[r as usize]);
+                let prepared = best_prepared(&lv[l as usize], &rv[r as usize]);
                 let naive = best_literal_similarity(&left, li.term(l), &right, ri.term(r));
-                assert_eq!(batched.to_bits(), naive.to_bits(), "pair ({l}, {r})");
+                assert_eq!(prepared.to_bits(), naive.to_bits(), "pair ({l}, {r})");
             }
         }
     }

@@ -60,7 +60,7 @@ pub fn value_similarity(a: &TypedValue, b: &TypedValue) -> f64 {
 }
 
 /// Render a typed value back to a comparable lexical form.
-fn render(v: &TypedValue) -> String {
+pub(crate) fn render(v: &TypedValue) -> String {
     match v {
         TypedValue::Text(s) => s.clone(),
         TypedValue::Integer(i) => i.to_string(),

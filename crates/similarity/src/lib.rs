@@ -9,7 +9,11 @@
 //! * [`TypedValue`] classification of RDF terms (by datatype, or by sniffing
 //!   untyped literals);
 //! * the combined, type-dispatched entry points [`value_similarity`] and
-//!   [`term_similarity`] used to build similarity matrices.
+//!   [`term_similarity`];
+//! * the prepared path ([`PreparedValue`], [`prepared_similarity`]) that
+//!   the linking and link-space hot loops use: every value prepared once,
+//!   every value pair scored bitwise equal to [`value_similarity`], with no
+//!   allocation for tokens of up to 64 chars.
 //!
 //! Every measure is symmetric, returns 1.0 on equal inputs, and stays within
 //! [0, 1] (property-tested in `tests/`).
@@ -17,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod combined;
 pub mod date;
 pub mod numeric;
@@ -25,7 +28,6 @@ pub mod prepared;
 pub mod string;
 pub mod value;
 
-pub use batch::{BatchScorer, PreparedCorpus};
 pub use combined::{term_similarity, value_similarity};
 pub use date::{date_similarity, date_year_similarity, year_similarity};
 pub use numeric::{boolean_similarity, relative_numeric, scaled_numeric};
@@ -36,6 +38,16 @@ pub use prepared::{
 pub use string::{
     jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_dp, levenshtein_similarity,
     monge_elkan_jw, myers_levenshtein, ngram_dice, normalize, phonetic_token_similarity, soundex,
-    string_similarity, trigram_dice, MyersPattern,
+    string_similarity, trigram_dice,
 };
 pub use value::{iri_local_name, sniff, typed_value, Date, TypedValue};
+
+/// The char-slice token kernels behind [`prepared_similarity`], reachable
+/// only so `tests/properties.rs` can hold them bitwise equal to the string
+/// measures. Not part of the crate's API.
+#[doc(hidden)]
+pub mod token_kernels {
+    pub use crate::string::kernel::{
+        jaro_winkler_chars, levenshtein_similarity_chars, token_similarity_chars,
+    };
+}

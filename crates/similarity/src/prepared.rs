@@ -1,28 +1,33 @@
 //! Pre-normalized, pre-tokenized values: pay string preparation once.
 //!
-//! [`crate::string_similarity`] normalizes both inputs, tokenizes them, and
-//! builds per-call `HashSet`s for Jaccard — on *every* call. Inside the
-//! linking hot loops the same literals are compared millions of times, so
-//! this module moves all of that to a one-time preparation step:
+//! [`crate::string_similarity`] normalizes both inputs, tokenizes them,
+//! decodes every token's UTF-8 once per token pair, and builds per-call
+//! `HashSet`s for Jaccard — on *every* call. Inside the linking hot loops
+//! the same literals are compared millions of times, so this module moves
+//! all of that to a one-time preparation step:
 //!
 //! * [`TokenInterner`] maps normalized tokens to dense `u32` ids shared by
 //!   both data sets being compared;
-//! * [`PreparedText`] stores a string's normalized form, its token
-//!   boundaries, and its *sorted, deduplicated* token-id set;
+//! * [`PreparedText`] stores a string's normalized tokens decoded to
+//!   `char`s, and its *sorted, deduplicated* token-id set;
 //! * [`jaccard_ids`] computes token-set Jaccard by a linear merge of two
 //!   sorted id slices — no allocation, no hashing;
-//! * [`PreparedValue`] wraps a [`TypedValue`] with prepared text for the
-//!   string-compared kinds (`Text`, and an IRI's local name);
+//! * [`PreparedValue`] wraps a [`TypedValue`] with the prepared text of its
+//!   string form (a text, an IRI's local name, or the rendering of a
+//!   number, date or boolean) and, for text, its sniffed typed value;
 //! * [`prepared_similarity`] scores two prepared values **byte-identically
 //!   to [`crate::value_similarity`]** on the raw values (property-tested),
-//!   taking the precomputed fast path for text↔text, text↔IRI, and
-//!   IRI↔IRI pairs and falling back to the generic dispatch for the cheap
-//!   numeric/temporal kinds.
+//!   mirroring its dispatch arm for arm on the precomputed forms.
+//!
+//! Token pairs are scored by the char-slice kernels in
+//! `string::kernel`, which allocate nothing for tokens of up to 64 chars.
 
 use std::collections::HashMap;
 
-use crate::string::{monge_elkan_tokens, normalize, tokenize};
-use crate::value::{iri_local_name, TypedValue};
+use crate::combined::render;
+use crate::string::kernel::token_similarity_chars;
+use crate::string::{normalize, tokenize};
+use crate::value::{iri_local_name, sniff, TypedValue};
 
 /// Interns normalized tokens as dense `u32` ids.
 ///
@@ -100,30 +105,31 @@ pub fn jaccard_ids(a: &[u32], b: &[u32]) -> f64 {
 }
 
 /// A string prepared for repeated comparison: normalized once, tokenized
-/// once, token ids sorted once.
+/// once, tokens decoded to `char`s once, token ids sorted once.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedText {
-    norm: String,
-    /// Byte ranges of tokens within `norm`.
-    token_spans: Vec<(u32, u32)>,
+    /// The normalized tokens' chars, back to back. The normalized form is
+    /// the tokens joined by single spaces, so two texts have equal
+    /// normalized forms exactly when `chars` and `ends` are equal.
+    chars: Box<[char]>,
+    /// Each token's end offset into `chars`, in token order.
+    ends: Box<[u32]>,
     /// Sorted, deduplicated ids of the tokens `jaccard_tokens` would see
-    /// (i.e. the tokens of `normalize(norm)`, matching its re-normalizing
-    /// behaviour exactly).
-    token_ids: Vec<u32>,
+    /// (i.e. the tokens of `normalize(normalize(raw))`, matching its
+    /// re-normalizing behaviour exactly).
+    token_ids: Box<[u32]>,
 }
 
 impl PreparedText {
     /// Normalize and tokenize `raw`, interning its Jaccard tokens.
     pub fn prepare(raw: &str, interner: &mut TokenInterner) -> PreparedText {
         let norm = normalize(raw);
-        let base = norm.as_ptr() as usize;
-        let token_spans: Vec<(u32, u32)> = tokenize(&norm)
-            .into_iter()
-            .map(|tok| {
-                let start = tok.as_ptr() as usize - base;
-                (start as u32, (start + tok.len()) as u32)
-            })
-            .collect();
+        let mut chars = Vec::with_capacity(norm.len());
+        let mut ends = Vec::new();
+        for tok in tokenize(&norm) {
+            chars.extend(tok.chars());
+            ends.push(u32::try_from(chars.len()).expect("a text's char count fits u32"));
+        }
         // `jaccard_tokens(&norm, _)` re-normalizes its input; normalization
         // is idempotent for the common cases but the re-derived tokens are
         // what the oracle hashes, so intern exactly those.
@@ -135,22 +141,20 @@ impl PreparedText {
         token_ids.sort_unstable();
         token_ids.dedup();
         PreparedText {
-            norm,
-            token_spans,
-            token_ids,
+            chars: chars.into(),
+            ends: ends.into(),
+            token_ids: token_ids.into(),
         }
     }
 
-    /// The normalized form.
-    pub fn norm(&self) -> &str {
-        &self.norm
-    }
-
-    /// The normalized tokens, in order.
-    pub fn tokens(&self) -> impl Iterator<Item = &str> {
-        self.token_spans
-            .iter()
-            .map(|&(s, e)| &self.norm[s as usize..e as usize])
+    /// The normalized tokens as char slices, in order.
+    pub fn tokens(&self) -> impl Iterator<Item = &[char]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let token = &self.chars[start..end as usize];
+            start = end as usize;
+            token
+        })
     }
 
     /// Sorted, deduplicated token ids (the Jaccard set).
@@ -162,32 +166,84 @@ impl PreparedText {
 /// Similarity of two prepared strings — byte-identical to
 /// [`crate::string_similarity`] on the raw strings.
 pub fn prepared_string_similarity(a: &PreparedText, b: &PreparedText) -> f64 {
-    if a.norm == b.norm {
+    if a.chars == b.chars && a.ends == b.ends {
         return 1.0;
     }
-    let ta: Vec<&str> = a.tokens().collect();
-    let tb: Vec<&str> = b.tokens().collect();
-    let me = monge_elkan_tokens(&ta, &tb);
+    let me = monge_elkan(a, b);
     (me * me).max(jaccard_ids(&a.token_ids, &b.token_ids))
 }
 
-/// A [`TypedValue`] with prepared text for the string-compared kinds.
+/// Column maxima for token lists up to this long live on the stack.
+const STACK_TOKENS: usize = 32;
+
+/// Symmetric Monge-Elkan over prepared tokens, bitwise equal to the
+/// string path's `monge_elkan_tokens`.
+///
+/// The token measure is bitwise symmetric — Jaro-Winkler counts matches
+/// and transpositions identically in both directions and IEEE addition
+/// commutes; Levenshtein distance is an exact integer — so one pass over
+/// the token matrix yields both directions: row maxima for `a → b`,
+/// column maxima for `b → a`, each accumulated in the order the reference
+/// folds them.
+fn monge_elkan(a: &PreparedText, b: &PreparedText) -> f64 {
+    let (na, nb) = (a.ends.len(), b.ends.len());
+    if na == 0 && nb == 0 {
+        return 1.0;
+    }
+    if na == 0 || nb == 0 {
+        return 0.0;
+    }
+    let mut stack = [0.0f64; STACK_TOKENS];
+    let mut heap = Vec::new();
+    let col_max: &mut [f64] = if nb <= STACK_TOKENS {
+        &mut stack[..nb]
+    } else {
+        heap.resize(nb, 0.0);
+        &mut heap
+    };
+    let mut forward = 0.0f64;
+    for x in a.tokens() {
+        let mut row_max = 0.0f64;
+        for (y, col) in b.tokens().zip(col_max.iter_mut()) {
+            let sim = token_similarity_chars(x, y);
+            row_max = row_max.max(sim);
+            *col = col.max(sim);
+        }
+        forward += row_max;
+    }
+    let backward: f64 = col_max.iter().sum();
+    (forward / na as f64 + backward / nb as f64) / 2.0
+}
+
+/// A [`TypedValue`] with everything [`prepared_similarity`] needs
+/// precomputed.
 #[derive(Debug, Clone)]
 pub struct PreparedValue {
     value: TypedValue,
-    /// `Text` values prepare their text; IRIs prepare their local name.
-    text: Option<PreparedText>,
+    /// The string form the value is compared by against text: a `Text`
+    /// value's text, an IRI's local name, or the lexical rendering of a
+    /// number, date or boolean.
+    text: PreparedText,
+    /// A `Text` value's sniffed typed value, when that is not text.
+    sniffed: Option<TypedValue>,
 }
 
 impl PreparedValue {
     /// Prepare `value` for repeated comparison.
     pub fn prepare(value: TypedValue, interner: &mut TokenInterner) -> PreparedValue {
-        let text = match &value {
-            TypedValue::Text(s) => Some(PreparedText::prepare(s, interner)),
-            TypedValue::Iri(s) => Some(PreparedText::prepare(iri_local_name(s), interner)),
-            _ => None,
+        let (text, sniffed) = match &value {
+            TypedValue::Text(s) => (
+                PreparedText::prepare(s, interner),
+                Some(sniff(s)).filter(|v| !matches!(v, TypedValue::Text(_))),
+            ),
+            TypedValue::Iri(s) => (PreparedText::prepare(iri_local_name(s), interner), None),
+            other => (PreparedText::prepare(&render(other), interner), None),
         };
-        PreparedValue { value, text }
+        PreparedValue {
+            value,
+            text,
+            sniffed,
+        }
     }
 
     /// The underlying typed value.
@@ -195,15 +251,16 @@ impl PreparedValue {
         &self.value
     }
 
-    /// The prepared text, for `Text` and `Iri` values.
-    pub fn text(&self) -> Option<&PreparedText> {
-        self.text.as_ref()
+    /// The prepared string form: the text, an IRI's local name, or the
+    /// rendering of any other kind.
+    pub fn text(&self) -> &PreparedText {
+        &self.text
     }
 
-    /// Whether comparisons against this value take the prepared-string
-    /// fast path (both sides must).
+    /// Whether the value is compared as a string against every partner
+    /// (`Text` and `Iri`), rather than by a numeric or temporal measure.
     pub fn is_texty(&self) -> bool {
-        self.text.is_some()
+        matches!(self.value, TypedValue::Text(_) | TypedValue::Iri(_))
     }
 }
 
@@ -211,29 +268,44 @@ impl PreparedValue {
 /// [`crate::value_similarity`] on the underlying [`TypedValue`]s
 /// (property-tested in `tests/properties.rs`).
 ///
-/// Text↔text, text↔IRI, and IRI↔IRI pairs use the precomputed normalized
-/// forms and interned Jaccard sets; every other combination (numeric,
-/// temporal, boolean, and the mixed coercions) dispatches to the generic
-/// [`crate::value_similarity`], which allocates nothing for those kinds.
+/// Every arm of the generic dispatch that compares strings runs here on
+/// the precomputed forms, with the same argument order: text↔text,
+/// IRI↔IRI, text↔anything (through the text's precomputed sniffed value
+/// when it has the partner's kind, else against the partner's prepared
+/// rendering), and IRI↔literal. Only numeric, temporal and boolean pairs
+/// reach [`crate::value_similarity`], whose arms for those kinds are plain
+/// arithmetic. Token pairs of at most 64 chars allocate nothing; longer
+/// tokens take the allocating reference kernels.
 pub fn prepared_similarity(a: &PreparedValue, b: &PreparedValue) -> f64 {
     use TypedValue as V;
-    match (&a.value, &b.value, &a.text, &b.text) {
-        // IRI equality short-circuits before any string work, exactly as
-        // the generic dispatch does.
-        (V::Iri(x), V::Iri(y), Some(ta), Some(tb)) => {
+    match (&a.value, &b.value) {
+        (V::Text(_), V::Text(_)) => prepared_string_similarity(&a.text, &b.text),
+        // IRI equality short-circuits before any string work.
+        (V::Iri(x), V::Iri(y)) => {
             if x == y {
                 1.0
             } else {
-                prepared_string_similarity(ta, tb)
+                prepared_string_similarity(&a.text, &b.text)
             }
         }
-        // Text↔text compares the texts; text↔IRI compares text to the
-        // IRI's local name (sniffing never yields an IRI, so the generic
-        // dispatch always lands on that same string comparison).
-        (V::Text(_), V::Text(_), Some(ta), Some(tb))
-        | (V::Text(_), V::Iri(_), Some(ta), Some(tb))
-        | (V::Iri(_), V::Text(_), Some(ta), Some(tb)) => prepared_string_similarity(ta, tb),
+        (V::Text(_), _) => text_against(a, b),
+        (_, V::Text(_)) => text_against(b, a),
+        // IRI against a literal value: local name against rendering.
+        (V::Iri(_), _) => prepared_string_similarity(&a.text, &b.text),
+        (_, V::Iri(_)) => prepared_string_similarity(&b.text, &a.text),
         _ => crate::value_similarity(&a.value, &b.value),
+    }
+}
+
+/// A text value against a non-text partner: natively when the text sniffs
+/// to the partner's kind, else text against the partner's string form
+/// (sniffing never yields an IRI, so IRIs always take the string path).
+fn text_against(text: &PreparedValue, other: &PreparedValue) -> f64 {
+    match &text.sniffed {
+        Some(sniffed) if sniffed.type_name() == other.value.type_name() => {
+            crate::value_similarity(sniffed, &other.value)
+        }
+        _ => prepared_string_similarity(&text.text, &other.text),
     }
 }
 
@@ -282,13 +354,20 @@ mod tests {
         let values = [
             TypedValue::Text("LeBron James".into()),
             TypedValue::Text("1984".into()),
+            TypedValue::Text("29".into()),
+            TypedValue::Text("3.25".into()),
+            TypedValue::Text("1984-12-30".into()),
+            TypedValue::Text("true".into()),
             TypedValue::Iri("http://e/LeBron_James".into()),
+            TypedValue::Iri("http://e/1984".into()),
             TypedValue::Iri("http://e/ns#Miami_Heat".into()),
             TypedValue::Integer(1984),
             TypedValue::Float(3.25),
             TypedValue::Year(1984),
             TypedValue::Date(Date::parse("1984-12-30").unwrap()),
             TypedValue::Boolean(true),
+            TypedValue::Boolean(false),
+            TypedValue::Integer(-7),
         ];
         let mut interner = TokenInterner::new();
         let prepared: Vec<PreparedValue> = values
@@ -308,6 +387,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tokens_are_decoded_in_order() {
+        let mut interner = TokenInterner::new();
+        let p = PreparedText::prepare("Café_MÜNCHEN  x", &mut interner);
+        let tokens: Vec<String> = p.tokens().map(|t| t.iter().collect()).collect();
+        assert_eq!(tokens, ["café", "münchen", "x"]);
+        assert_eq!(PreparedText::prepare("", &mut interner).tokens().count(), 0);
+    }
+
+    #[test]
+    fn only_non_text_sniffs_are_kept() {
+        let mut interner = TokenInterner::new();
+        let year = prep(TypedValue::Text("1984".into()), &mut interner);
+        assert_eq!(year.sniffed, Some(TypedValue::Year(1984)));
+        let name = prep(TypedValue::Text("LeBron".into()), &mut interner);
+        assert_eq!(name.sniffed, None);
+        assert!(name.is_texty() && !prep(TypedValue::Year(1984), &mut interner).is_texty());
     }
 
     #[test]

@@ -7,6 +7,13 @@
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
+    jaro_slices(&a, &b)
+}
+
+/// Jaro similarity of two char slices, with heap-allocated match flags:
+/// the reference algorithm, and the fallback of
+/// [`super::kernel::jaro_winkler_chars`] for slices longer than 64 chars.
+pub(crate) fn jaro_slices(a: &[char], b: &[char]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }

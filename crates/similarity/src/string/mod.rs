@@ -2,6 +2,7 @@
 
 pub mod jaccard;
 pub mod jaro;
+pub(crate) mod kernel;
 pub mod levenshtein;
 pub mod myers;
 pub mod ngram;
@@ -11,7 +12,7 @@ pub mod phonetic;
 pub use jaccard::jaccard_tokens;
 pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{levenshtein, levenshtein_dp, levenshtein_similarity};
-pub use myers::{myers_levenshtein, MyersPattern};
+pub use myers::myers_levenshtein;
 pub use ngram::{ngram_dice, trigram_dice};
 pub use normalize::{normalize, normalized_tokens, tokenize};
 pub use phonetic::{phonetic_token_similarity, soundex};
@@ -25,11 +26,10 @@ fn token_similarity(a: &str, b: &str) -> f64 {
     (jaro_winkler(a, b) + levenshtein_similarity(a, b)) / 2.0
 }
 
-/// Symmetric Monge-Elkan over already-tokenized inputs — the shared core of
-/// [`monge_elkan_jw`] and the pre-tokenized paths in [`crate::prepared`] and
-/// [`crate::batch`], which must score byte-identically to the string entry
-/// point.
-pub(crate) fn monge_elkan_tokens(ta: &[&str], tb: &[&str]) -> f64 {
+/// Symmetric Monge-Elkan over already-tokenized inputs — the core of
+/// [`monge_elkan_jw`], and the reference the prepared path in
+/// [`crate::prepared`] must match bitwise.
+fn monge_elkan_tokens(ta: &[&str], tb: &[&str]) -> f64 {
     if ta.is_empty() && tb.is_empty() {
         return 1.0;
     }

@@ -14,9 +14,10 @@
 //! inputs (`crates/similarity/tests/properties.rs`). The DP survives as
 //! [`super::levenshtein::levenshtein_dp`], the oracle.
 //!
-//! [`MyersPattern`] precompiles one string's character-mask table so a
-//! *probe* can be scored against many candidates without rebuilding its
-//! state — the primitive under [`crate::batch::BatchScorer`].
+//! The single-block kernel keeps its `Peq` table in a fixed-size stack
+//! array, so [`levenshtein_chars`] on already-decoded char slices — the
+//! form [`crate::PreparedText`] stores its tokens in — allocates nothing
+//! for patterns of up to 64 chars.
 
 use std::collections::HashMap;
 
@@ -30,12 +31,18 @@ pub fn myers_levenshtein(a: &str, b: &str) -> usize {
     }
     let ac: Vec<char> = a.chars().collect();
     let bc: Vec<char> = b.chars().collect();
+    levenshtein_chars(&ac, &bc)
+}
+
+/// Levenshtein edit distance between two char slices — the kernel under
+/// [`myers_levenshtein`]. Allocation-free when the shorter slice has at
+/// most 64 chars; longer patterns take the multi-block path.
+pub(crate) fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
+    if a == b {
+        return 0;
+    }
     // The shorter string becomes the bit-packed pattern: fewer blocks.
-    let (pat, text) = if ac.len() <= bc.len() {
-        (&ac, &bc)
-    } else {
-        (&bc, &ac)
-    };
+    let (pat, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if pat.is_empty() {
         return text.len();
     }
@@ -48,19 +55,24 @@ pub fn myers_levenshtein(a: &str, b: &str) -> usize {
 
 /// Single-block kernel: pattern fits one u64 column.
 ///
-/// The `Peq` table is a linear-scan association list: patterns here are
-/// normalized tokens (≤ a few dozen distinct chars), where a scan beats
-/// hashing.
+/// The `Peq` table is a linear-scan association list in a fixed-size stack
+/// array (a pattern of ≤ 64 chars has ≤ 64 distinct chars): patterns here
+/// are normalized tokens, where a scan beats hashing.
 fn myers_64(pat: &[char], text: &[char]) -> usize {
     let m = pat.len();
     debug_assert!((1..=64).contains(&m));
-    let mut peq: Vec<(char, u64)> = Vec::with_capacity(m.min(16));
+    let mut table = [('\0', 0u64); 64];
+    let mut distinct = 0;
     for (i, &c) in pat.iter().enumerate() {
-        match peq.iter_mut().find(|(pc, _)| *pc == c) {
+        match table[..distinct].iter_mut().find(|(pc, _)| *pc == c) {
             Some((_, mask)) => *mask |= 1 << i,
-            None => peq.push((c, 1 << i)),
+            None => {
+                table[distinct] = (c, 1 << i);
+                distinct += 1;
+            }
         }
     }
+    let peq = &table[..distinct];
     let mut pv: u64 = !0;
     let mut mv: u64 = 0;
     let mut score = m;
@@ -148,144 +160,6 @@ fn myers_blocked(pat: &[char], text: &[char]) -> usize {
     score as usize
 }
 
-/// A precompiled Myers pattern: the probe side of a batch comparison.
-///
-/// Building the `Peq` character-mask table costs O(|probe|); reusing it
-/// across candidates makes each subsequent distance O(|candidate| ·
-/// ⌈|probe|/64⌉) with no per-call allocation or table rebuild.
-#[derive(Debug, Clone)]
-pub struct MyersPattern {
-    /// Pattern length in chars.
-    len: usize,
-    /// Raw pattern text (for the equal-string fast path).
-    text: String,
-    state: PatternState,
-}
-
-#[derive(Debug, Clone)]
-enum PatternState {
-    /// Empty pattern: distance is the candidate's char count.
-    Empty,
-    /// ≤ 64 chars: one-block masks in a linear-scan table.
-    Single(Vec<(char, u64)>),
-    /// > 64 chars: per-block masks.
-    Blocked(HashMap<char, Vec<u64>>, usize),
-}
-
-impl MyersPattern {
-    /// Compile `pattern` into its character-mask table.
-    pub fn new(pattern: &str) -> MyersPattern {
-        let chars: Vec<char> = pattern.chars().collect();
-        let m = chars.len();
-        let state = if m == 0 {
-            PatternState::Empty
-        } else if m <= 64 {
-            let mut peq: Vec<(char, u64)> = Vec::with_capacity(m.min(16));
-            for (i, &c) in chars.iter().enumerate() {
-                match peq.iter_mut().find(|(pc, _)| *pc == c) {
-                    Some((_, mask)) => *mask |= 1 << i,
-                    None => peq.push((c, 1 << i)),
-                }
-            }
-            PatternState::Single(peq)
-        } else {
-            let nb = m.div_ceil(64);
-            let mut peq: HashMap<char, Vec<u64>> = HashMap::new();
-            for (i, &c) in chars.iter().enumerate() {
-                peq.entry(c).or_insert_with(|| vec![0; nb])[i / 64] |= 1 << (i % 64);
-            }
-            PatternState::Blocked(peq, nb)
-        };
-        MyersPattern {
-            len: m,
-            text: pattern.to_string(),
-            state,
-        }
-    }
-
-    /// Pattern length in chars.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the pattern is the empty string.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Edit distance from the precompiled pattern to `candidate`.
-    ///
-    /// Equals `myers_levenshtein(pattern, candidate)` (and therefore the
-    /// classic DP) for every input.
-    pub fn distance(&self, candidate: &str) -> usize {
-        if self.text == candidate {
-            return 0;
-        }
-        match &self.state {
-            PatternState::Empty => candidate.chars().count(),
-            PatternState::Single(peq) => {
-                let m = self.len;
-                let mut pv: u64 = !0;
-                let mut mv: u64 = 0;
-                let mut score = m;
-                let last = 1u64 << (m - 1);
-                for t in candidate.chars() {
-                    let eq = peq
-                        .iter()
-                        .find(|&&(c, _)| c == t)
-                        .map(|&(_, mask)| mask)
-                        .unwrap_or(0);
-                    let xv = eq | mv;
-                    let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-                    let ph = mv | !(xh | pv);
-                    let mh = pv & xh;
-                    if ph & last != 0 {
-                        score += 1;
-                    } else if mh & last != 0 {
-                        score -= 1;
-                    }
-                    let ph = (ph << 1) | 1;
-                    let mh = mh << 1;
-                    pv = mh | !(xv | ph);
-                    mv = ph & xv;
-                }
-                score
-            }
-            PatternState::Blocked(peq, nb) => {
-                let nb = *nb;
-                let zeros = vec![0u64; nb];
-                let mut pv = vec![!0u64; nb];
-                let mut mv = vec![0u64; nb];
-                let mut score = self.len as i64;
-                let last_bit = 1u64 << ((self.len - 1) % 64);
-                for t in candidate.chars() {
-                    let eqs = peq.get(&t).unwrap_or(&zeros);
-                    let mut hin = 1;
-                    for b in 0..nb {
-                        let high = if b == nb - 1 { last_bit } else { 1u64 << 63 };
-                        let (p, m2, hout) = advance_block(pv[b], mv[b], eqs[b], hin, high);
-                        pv[b] = p;
-                        mv[b] = m2;
-                        hin = hout;
-                    }
-                    score += i64::from(hin);
-                }
-                score as usize
-            }
-        }
-    }
-
-    /// Normalized similarity `1 − d / max(|pattern|, |candidate|)` against
-    /// a candidate whose char count the caller already knows.
-    pub fn similarity_to(&self, candidate: &str, candidate_chars: usize) -> f64 {
-        let max_len = self.len.max(candidate_chars);
-        if max_len == 0 {
-            return 1.0;
-        }
-        1.0 - self.distance(candidate) as f64 / max_len as f64
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -333,50 +207,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pattern_reuse_matches_one_shot() {
-        let probe = "lebron james";
-        let pat = MyersPattern::new(probe);
-        for cand in [
-            "lebron jame",
-            "lebron",
-            "",
-            "michael jordan",
-            "lebron james",
-        ] {
-            assert_eq!(
-                pat.distance(cand),
-                myers_levenshtein(probe, cand),
-                "{cand:?}"
-            );
-        }
-        assert_eq!(MyersPattern::new("").distance("abc"), 3);
-        assert_eq!(MyersPattern::new("").distance(""), 0);
-    }
-
-    #[test]
-    fn long_pattern_reuse_matches_dp() {
-        let probe: String = "pneumonoultramicroscopicsilicovolcanoconiosis".repeat(3);
-        let pat = MyersPattern::new(&probe);
-        for cand in [
-            "pneumonoultramicroscopicsilicovolcanoconiosis",
-            "completely unrelated text",
-            "",
-        ] {
-            assert_eq!(pat.distance(cand), levenshtein_dp(&probe, cand), "{cand:?}");
-        }
-    }
-
-    #[test]
-    fn similarity_to_matches_levenshtein_similarity() {
-        let pat = MyersPattern::new("drugbank");
-        let cand = "drugbnak";
-        let n = cand.chars().count();
-        let expect = crate::string::levenshtein::levenshtein_similarity("drugbank", cand);
-        assert!((pat.similarity_to(cand, n) - expect).abs() < 1e-15);
-        assert_eq!(MyersPattern::new("").similarity_to("", 0), 1.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ cargo clippy -p alex-telemetry -- -D warnings
 # panic-free too (crate-wide unwrap/expect deny, see crates/trust/src/lib.rs).
 cargo clippy -p alex-trust -- -D warnings
 # The similarity kernels and the deterministic pool are the alignment hot
-# path: the bit-parallel/interned/batch kernels and the work-stealing
+# path: the bit-parallel/interned/char-slice kernels and the work-stealing
 # scheduler must stay warning-free.
 cargo clippy -p alex-sim -- -D warnings
 cargo clippy -p alex-parallel -- -D warnings
@@ -47,10 +47,12 @@ ALEX_THREADS=4 cargo test --workspace -q
 echo "==> cargo bench --no-run (bench targets must compile)"
 cargo bench --workspace --no-run -q
 
-echo "==> kernel equivalence properties (myers ≡ DP, interned ≡ string jaccard)"
+echo "==> kernel equivalence properties (myers ≡ DP, interned ≡ string jaccard, char-slice jaro-winkler/levenshtein/token kernels ≡ string measures, prepared_similarity ≡ value_similarity)"
 # The fast kernels must stay bitwise-equal to their slow oracles, including
-# multi-block (>64 chars) and combining-mark inputs, and PARIS alignment
-# must stay byte-identical across thread counts.
+# multi-block (>64 chars), combining-mark and empty inputs; the prepared
+# value path must equal the generic dispatch on mixed-kind pairs in both
+# argument orders; and PARIS alignment must stay byte-identical across
+# thread counts.
 cargo test -p alex-sim --test properties -q
 cargo test -p alex-linking --test properties -q
 
