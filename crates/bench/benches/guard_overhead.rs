@@ -106,7 +106,8 @@ fn run_supervised(fx: &Fixture, max_episodes: usize) -> usize {
     let mut agent = Agent::new(fx.space.clone(), &fx.initial, cfg(max_episodes));
     let mut oracle = OracleFeedback::with_error_rate(fx.truth.clone(), 0.1, 9);
     let mut sup = Supervisor::new(Budget::unlimited(), BreachPolicy::Stop);
-    let report = driver::run_supervised(&mut agent, &mut oracle, &fx.truth, &mut sup);
+    let report = driver::run_with(&mut agent, &mut oracle, &fx.truth, None, Some(&mut sup))
+        .expect("non-durable run cannot fail");
     assert_eq!(sup.breaches(), 0, "unlimited budget must never breach");
     report.episodes.len()
 }

@@ -1,9 +1,15 @@
-//! The single-partition run driver: the policy-evaluation / policy-
+//! The single-agent run driver: the policy-evaluation / policy-
 //! improvement loop with convergence detection and per-episode metrics.
+//!
+//! [`run_with`] is the one loop; [`run`] and [`run_durable`] are shorthands
+//! for it without the optional layers. The partitioned driver
+//! ([`crate::partition`]) steps one agent per partition and shares this
+//! module's per-episode bookkeeping: change fraction, episode report, and
+//! the convergence decision.
 //!
 //! ## Durable runs
 //!
-//! [`run_durable`] adds crash safety on top of the same loop: every episode
+//! A [`Durability`] adds crash safety on top of the same loop: every episode
 //! is committed to an `alex-store` journal before the run proceeds, full
 //! snapshots are taken every `snapshot_every` episodes, and a killed run is
 //! resumed with [`Durability::resume`] — the newest snapshot is restored and
@@ -16,9 +22,10 @@ use std::time::Duration;
 
 use alex_guard::{BreachPolicy, Supervisor};
 use alex_store::{Recovery, Store};
-use alex_telemetry::{counter, emit, span, Event};
+use alex_telemetry::{counter, emit, span, Event, SpanGuard};
 
 use crate::agent::{Agent, EpisodeSummary};
+use crate::config::AlexConfig;
 use crate::feedback::{Feedback, FeedbackItem, FeedbackSource};
 use crate::metrics::{EpisodeReport, Quality};
 use crate::persist::{self, EpisodeRecord, EpisodeStats, RunSnapshot};
@@ -93,7 +100,7 @@ impl RunReport {
     }
 }
 
-/// Durability settings for [`run_durable`]: the open store, the recovery it
+/// Durability settings for [`run_with`]: the open store, the recovery it
 /// produced, and the commit cadence.
 pub struct Durability<'a> {
     store: &'a mut dyn Store,
@@ -195,6 +202,97 @@ struct RunState {
     recovered_from: u64,
 }
 
+/// Fraction of the previous candidate set (`prev` links) that `changed`
+/// over an episode; growing from an empty set counts as a full change.
+pub(crate) fn change_fraction(changed: usize, prev: usize, current: usize) -> f64 {
+    match (prev, current) {
+        (0, 0) => 0.0,
+        (0, _) => 1.0,
+        _ => changed as f64 / prev as f64,
+    }
+}
+
+/// Score the agent's candidate set after an episode: its change against
+/// `prev` (which then becomes the current set) and its quality against
+/// `truth`. Returns the episode's report and the number of changed links.
+pub(crate) fn score_episode(
+    agent: &Agent,
+    truth: &HashSet<(u32, u32)>,
+    prev: &mut HashSet<PairId>,
+    episode: usize,
+    summary: &EpisodeSummary,
+    duration: Duration,
+    degraded: bool,
+) -> (EpisodeReport, usize) {
+    let current = agent.candidates().snapshot();
+    let changed = current.symmetric_difference(prev).count();
+    let change_frac = change_fraction(changed, prev.len(), current.len());
+    let (correct, quality) = Quality::evaluate_counted(agent.candidates(), agent.space(), truth);
+    let report = EpisodeReport {
+        episode,
+        quality,
+        candidates: current.len(),
+        correct,
+        added: summary.added,
+        removed: summary.removed,
+        negative_feedback_frac: summary.negative_frac(),
+        rollbacks: summary.rollbacks,
+        change_frac,
+        duration,
+        degraded,
+    };
+    *prev = current;
+    (report, changed)
+}
+
+/// The convergence decision after an episode in which `changed` links
+/// changed: notes the first episode whose change fell below the relaxed
+/// fraction in `relaxed_at`, and stops on strict convergence (nothing
+/// changed) or, with `stop_on_relaxed`, on relaxed convergence.
+pub(crate) fn convergence(
+    cfg: &AlexConfig,
+    report: &EpisodeReport,
+    changed: usize,
+    relaxed_at: &mut Option<usize>,
+) -> Option<StopReason> {
+    let relaxed = report.change_frac < cfg.relaxed_convergence_frac;
+    if relaxed && relaxed_at.is_none() {
+        *relaxed_at = Some(report.episode);
+    }
+    if changed == 0 {
+        Some(StopReason::Converged)
+    } else if cfg.stop_on_relaxed && relaxed {
+        Some(StopReason::RelaxedConverged)
+    } else {
+        None
+    }
+}
+
+/// Emit the `episode_end` event for an episode's report; `summary`
+/// supplies the trust-gate tallies.
+pub(crate) fn emit_episode_end(
+    report: &EpisodeReport,
+    summary: &EpisodeSummary,
+    recovered_from: u64,
+) {
+    emit!(Event::EpisodeEnd {
+        episode: report.episode as u64,
+        precision: report.quality.precision,
+        recall: report.quality.recall,
+        f_measure: report.quality.f_measure,
+        added: report.added as u64,
+        removed: report.removed as u64,
+        rollbacks: report.rollbacks as u64,
+        threads: alex_parallel::configured_threads() as u64,
+        duration_us: report.duration.as_micros() as u64,
+        recovered_from,
+        trust_admitted: summary.admitted as u64,
+        trust_deferred: summary.deferred as u64,
+        trust_cascades: summary.cascades as u64,
+        degraded: report.degraded,
+    });
+}
+
 /// Per-episode bookkeeping: convergence math, metrics, report, telemetry.
 /// Identical for live and replayed episodes — that is what makes replay
 /// reach the same stop decision the live run would have.
@@ -207,80 +305,53 @@ fn note_episode(
     duration: Duration,
     degraded: bool,
 ) {
-    let current = agent.candidates().snapshot();
-    let changed = current.symmetric_difference(&st.prev).count();
-    let change_frac = if st.prev.is_empty() {
-        if current.is_empty() {
-            0.0
-        } else {
-            1.0
-        }
-    } else {
-        changed as f64 / st.prev.len() as f64
-    };
-
-    let (correct, quality) = {
+    let (report, changed) = {
         let _s = span("evaluate");
-        Quality::evaluate_counted(agent.candidates(), agent.space(), truth)
+        score_episode(
+            agent,
+            truth,
+            &mut st.prev,
+            episode,
+            summary,
+            duration,
+            degraded,
+        )
     };
-    st.episodes.push(EpisodeReport {
-        episode,
-        quality,
-        candidates: current.len(),
-        correct,
-        added: summary.added,
-        removed: summary.removed,
-        negative_feedback_frac: summary.negative_frac(),
-        rollbacks: summary.rollbacks,
-        change_frac,
-        duration,
-        degraded,
-    });
     if degraded {
         counter!("episodes_degraded_total").inc();
     }
-    emit!(Event::EpisodeEnd {
-        episode: episode as u64,
-        precision: quality.precision,
-        recall: quality.recall,
-        f_measure: quality.f_measure,
-        added: summary.added as u64,
-        removed: summary.removed as u64,
-        rollbacks: summary.rollbacks as u64,
-        threads: alex_parallel::configured_threads() as u64,
-        duration_us: duration.as_micros() as u64,
-        recovered_from: st.recovered_from,
-        trust_admitted: summary.admitted as u64,
-        trust_deferred: summary.deferred as u64,
-        trust_cascades: summary.cascades as u64,
-        degraded,
-    });
-
-    if st.relaxed_converged_at.is_none() && change_frac < agent.config().relaxed_convergence_frac {
-        st.relaxed_converged_at = Some(episode);
-    }
-    if changed == 0 {
-        st.stop = Some(StopReason::Converged);
-    } else if agent.config().stop_on_relaxed
-        && change_frac < agent.config().relaxed_convergence_frac
-    {
-        st.stop = Some(StopReason::RelaxedConverged);
-    }
-    st.prev = current;
+    emit_episode_end(&report, summary, st.recovered_from);
+    st.stop = convergence(
+        agent.config(),
+        &report,
+        changed,
+        &mut st.relaxed_converged_at,
+    );
+    st.episodes.push(report);
 }
 
-/// Encode a full-run snapshot of the current agent + driver state.
-fn snapshot_payload(
+/// Open an episode's span and announce the episode.
+pub(crate) fn begin_episode(episode: usize) -> SpanGuard {
+    let episode_span = span("episode");
+    emit!(Event::EpisodeStart {
+        episode: episode as u64
+    });
+    episode_span
+}
+
+/// Write a full-run snapshot of the current agent + driver state.
+fn write_snapshot(
+    store: &mut dyn Store,
     agent: &Agent,
     source: &dyn FeedbackSource,
     st: &RunState,
     last_episode: u64,
     completed: bool,
-) -> Result<Vec<u8>, String> {
+) -> Result<(), String> {
     let source_state = source
         .durable_state()
         .ok_or_else(|| "feedback source stopped providing durable state".to_string())?;
-    Ok(persist::encode_snapshot(&RunSnapshot {
+    let payload = persist::encode_snapshot(&RunSnapshot {
         base_fingerprint: agent.base_fingerprint(),
         last_episode,
         completed,
@@ -305,7 +376,12 @@ fn snapshot_payload(
             .collect(),
         agent: agent.capture_state(),
         source_state,
-    }))
+    });
+    store
+        .write_snapshot(last_episode, &payload)
+        .map_err(|e| e.to_string())?;
+    counter!("store_snapshots_total").inc();
+    Ok(())
 }
 
 /// Run the agent to convergence against a feedback source, scoring each
@@ -315,65 +391,42 @@ pub fn run(
     source: &mut dyn FeedbackSource,
     truth: &HashSet<(u32, u32)>,
 ) -> RunReport {
-    match run_impl(agent, source, truth, None, None) {
-        Ok(report) => report,
-        // Without durability there is no I/O and no recovery: nothing in
-        // run_impl can fail.
-        Err(e) => unreachable!("non-durable run cannot fail: {e}"),
-    }
+    // Without durability there is no I/O and no recovery: nothing can fail.
+    run_with(agent, source, truth, None, None)
+        .unwrap_or_else(|e| unreachable!("non-durable run cannot fail: {e}"))
 }
 
-/// Run the agent with crash-safe durable state: every episode is journaled
-/// before the run proceeds, snapshots are taken periodically, and a prior
-/// interrupted run is resumed (snapshot restore + journal replay) when
-/// [`Durability::resume`] is set.
-///
-/// Fails on store I/O errors, corrupt state that recovery could not repair,
-/// a state directory belonging to a different run, or a feedback source
-/// without durable state.
+/// [`run_with`] with durability and without a supervisor.
 pub fn run_durable(
     agent: &mut Agent,
     source: &mut dyn FeedbackSource,
     truth: &HashSet<(u32, u32)>,
     durability: Durability<'_>,
 ) -> Result<RunReport, String> {
-    run_impl(agent, source, truth, Some(durability), None)
+    run_with(agent, source, truth, Some(durability), None)
 }
 
-/// Run under budget supervision (see `alex-guard`): the supervisor is
-/// consulted at every episode boundary; a breaching episode is finalized
-/// normally but marked degraded, and the run then continues or stops per
-/// the supervisor's [`BreachPolicy`]. The report's
-/// [`RunReport::is_complete`] stamp records whether any budget was hit.
-pub fn run_supervised(
-    agent: &mut Agent,
-    source: &mut dyn FeedbackSource,
-    truth: &HashSet<(u32, u32)>,
-    supervisor: &mut Supervisor,
-) -> RunReport {
-    match run_impl(agent, source, truth, None, Some(supervisor)) {
-        Ok(report) => report,
-        // Without durability there is no I/O and no recovery: nothing in
-        // run_impl can fail.
-        Err(e) => unreachable!("non-durable run cannot fail: {e}"),
-    }
-}
-
-/// [`run_durable`] plus budget supervision: breach markers are journaled
-/// inside each episode's WAL record, so a resumed run replays the
-/// degraded flags instead of re-measuring wall clocks it cannot
-/// reproduce.
-pub fn run_durable_supervised(
-    agent: &mut Agent,
-    source: &mut dyn FeedbackSource,
-    truth: &HashSet<(u32, u32)>,
-    durability: Durability<'_>,
-    supervisor: &mut Supervisor,
-) -> Result<RunReport, String> {
-    run_impl(agent, source, truth, Some(durability), Some(supervisor))
-}
-
-fn run_impl(
+/// The single-agent loop every run goes through: episodes of feedback from
+/// `source`, each scored against `truth` (ground-truth entity-id pairs),
+/// until convergence, the episode cap, or a stop below. Durability and
+/// supervision are optional layers on the same loop:
+///
+/// * `durability` makes the run crash-safe: every episode is journaled
+///   before the run proceeds, snapshots are taken periodically, and a
+///   prior interrupted run is resumed (snapshot restore + journal replay)
+///   when [`Durability::resume`] is set.
+/// * `supervisor` (see `alex-guard`) is consulted at every episode
+///   boundary: a breaching episode is finalized normally but marked
+///   degraded, and the run then continues or stops per the supervisor's
+///   [`BreachPolicy`]. Breach markers are journaled inside each episode's
+///   WAL record, so a resumed run replays the degraded flags instead of
+///   re-measuring wall clocks it cannot reproduce. The report's
+///   [`RunReport::is_complete`] stamp records whether any budget was hit.
+///
+/// Fails only with durability: on store I/O errors, corrupt state that
+/// recovery could not repair, a state directory belonging to a different
+/// run, or a feedback source without durable state.
+pub fn run_with(
     agent: &mut Agent,
     source: &mut dyn FeedbackSource,
     truth: &HashSet<(u32, u32)>,
@@ -411,11 +464,7 @@ fn run_impl(
             // nothing is starting fresh, which keeps resume safe even if
             // the original process died before its first commit). Pin the
             // run with an initial snapshot before any episode runs.
-            let payload = snapshot_payload(agent, source, &st, 0, false)?;
-            d.store
-                .write_snapshot(0, &payload)
-                .map_err(|e| e.to_string())?;
-            counter!("store_snapshots_total").inc();
+            write_snapshot(d.store, agent, source, &st, 0, false)?;
         } else {
             if !d.resume {
                 return Err(format!(
@@ -487,8 +536,7 @@ fn run_impl(
                     ));
                 }
                 expected_seq += 1;
-                let episode_span = span("episode");
-                emit!(Event::EpisodeStart { episode: *seq });
+                let episode_span = begin_episode(*seq as usize);
                 let record = persist::decode_episode(payload)?;
                 let summary = agent.replay_episode(&record.items)?;
                 source.restore_durable_state(&record.source_state)?;
@@ -514,10 +562,7 @@ fn run_impl(
     let mut committed_this_session = 0u64;
     if st.stop.is_none() {
         for episode in start_episode..=agent.config().max_episodes {
-            let episode_span = span("episode");
-            emit!(Event::EpisodeStart {
-                episode: episode as u64
-            });
+            let episode_span = begin_episode(episode);
             let (summary, items) = {
                 let _s = span("feedback");
                 if durability.is_some() {
@@ -549,15 +594,10 @@ fn run_impl(
             // Budget check at the episode boundary, before the commit, so
             // the degraded marker travels inside the episode's own WAL
             // record and resume replays it for free.
-            let mut degraded = false;
-            if let Some(sup) = supervisor.as_deref_mut() {
-                if let Some(breach) =
-                    sup.after_episode(episode as u64, duration, summary.feedback_items() as u64)
-                {
-                    degraded = true;
-                    let _ = breach;
-                }
-            }
+            let degraded = supervisor.as_deref_mut().is_some_and(|sup| {
+                sup.after_episode(episode as u64, duration, summary.feedback_items() as u64)
+                    .is_some()
+            });
 
             if let Some(d) = durability.as_mut() {
                 // Commit before acting on the episode: once append returns,
@@ -594,11 +634,7 @@ fn run_impl(
                     && d.snapshot_every > 0
                     && (episode as u64).is_multiple_of(d.snapshot_every)
                 {
-                    let payload = snapshot_payload(agent, source, &st, episode as u64, false)?;
-                    d.store
-                        .write_snapshot(episode as u64, &payload)
-                        .map_err(|e| e.to_string())?;
-                    counter!("store_snapshots_total").inc();
+                    write_snapshot(d.store, agent, source, &st, episode as u64, false)?;
                 }
                 if let Some(cb) = d.on_commit.as_mut() {
                     cb(episode as u64);
@@ -623,11 +659,7 @@ fn run_impl(
                 .last()
                 .map(|e| e.episode as u64)
                 .unwrap_or(st.recovered_from);
-            let payload = snapshot_payload(agent, source, &st, last, true)?;
-            d.store
-                .write_snapshot(last, &payload)
-                .map_err(|e| e.to_string())?;
-            counter!("store_snapshots_total").inc();
+            write_snapshot(d.store, agent, source, &st, last, true)?;
         }
     }
 
@@ -1057,7 +1089,7 @@ mod tests {
         let mut agent = Agent::new(space, &initial, cfg());
         let mut oracle = OracleFeedback::new(truth.clone(), 21);
         let mut sup = Supervisor::new(Budget::unlimited(), BreachPolicy::Stop);
-        let supervised = run_supervised(&mut agent, &mut oracle, &truth, &mut sup);
+        let supervised = run_with(&mut agent, &mut oracle, &truth, None, Some(&mut sup)).unwrap();
 
         assert_eq!(report_identity(&plain), report_identity(&supervised));
         assert_eq!(plain_agent.capture_state(), agent.capture_state());
@@ -1074,7 +1106,7 @@ mod tests {
         let mut oracle = OracleFeedback::new(truth.clone(), 22);
         // One feedback item total: the first episode breaches the quota.
         let mut sup = Supervisor::new(Budget::unlimited().max_items(1), BreachPolicy::Stop);
-        let report = run_supervised(&mut agent, &mut oracle, &truth, &mut sup);
+        let report = run_with(&mut agent, &mut oracle, &truth, None, Some(&mut sup)).unwrap();
 
         assert_eq!(report.stop, StopReason::BudgetExhausted);
         assert_eq!(
@@ -1100,7 +1132,7 @@ mod tests {
         let mut agent = Agent::new(space, &initial, cfg());
         let mut oracle = OracleFeedback::new(truth.clone(), 23);
         let mut sup = Supervisor::new(Budget::unlimited().max_items(1), BreachPolicy::Continue);
-        let report = run_supervised(&mut agent, &mut oracle, &truth, &mut sup);
+        let report = run_with(&mut agent, &mut oracle, &truth, None, Some(&mut sup)).unwrap();
 
         // Degradation is recorded but never changes the run's trajectory:
         // every episode breaches the quota yet the run ends as the plain
@@ -1124,12 +1156,12 @@ mod tests {
         let mut ref_agent = Agent::new(space.clone(), &initial, cfg());
         let mut ref_oracle = OracleFeedback::new(truth.clone(), 24);
         let mut ref_sup = Supervisor::new(Budget::unlimited().max_items(1), BreachPolicy::Continue);
-        let reference = run_durable_supervised(
+        let reference = run_with(
             &mut ref_agent,
             &mut ref_oracle,
             &truth,
-            Durability::new(&mut store, recovery),
-            &mut ref_sup,
+            Some(Durability::new(&mut store, recovery)),
+            Some(&mut ref_sup),
         )
         .unwrap();
         assert!(reference.degraded_episodes() > 0);
@@ -1145,12 +1177,12 @@ mod tests {
         let mut agent = Agent::new(space.clone(), &initial, cfg());
         let mut oracle = OracleFeedback::new(truth.clone(), 24);
         let mut sup = Supervisor::new(Budget::unlimited().max_items(1), BreachPolicy::Continue);
-        let suspended = run_durable_supervised(
+        let suspended = run_with(
             &mut agent,
             &mut oracle,
             &truth,
-            Durability::new(&mut store, recovery).stop_after(1),
-            &mut sup,
+            Some(Durability::new(&mut store, recovery).stop_after(1)),
+            Some(&mut sup),
         )
         .unwrap();
         assert_eq!(suspended.stop, StopReason::Suspended);
@@ -1161,12 +1193,12 @@ mod tests {
         let mut agent2 = Agent::new(space, &initial, cfg());
         let mut oracle2 = OracleFeedback::new(truth.clone(), 24);
         let mut sup2 = Supervisor::new(Budget::unlimited().max_items(1), BreachPolicy::Continue);
-        let resumed = run_durable_supervised(
+        let resumed = run_with(
             &mut agent2,
             &mut oracle2,
             &truth,
-            Durability::new(&mut store, recovery).resume(true),
-            &mut sup2,
+            Some(Durability::new(&mut store, recovery).resume(true)),
+            Some(&mut sup2),
         )
         .unwrap();
 

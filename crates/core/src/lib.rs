@@ -81,9 +81,7 @@ pub use blacklist::Blacklist;
 pub use bridge::FeedbackBridge;
 pub use candidates::CandidateSet;
 pub use config::AlexConfig;
-pub use driver::{
-    run, run_durable, run_durable_supervised, run_supervised, Durability, RunReport, StopReason,
-};
+pub use driver::{run, run_durable, run_with, Durability, RunReport, StopReason};
 pub use feature::{FeatureCatalog, FeatureId, FeaturePair, FeatureSet};
 pub use feedback::{Feedback, FeedbackItem, FeedbackSource, OracleFeedback};
 pub use metrics::{EpisodeReport, Quality};

@@ -12,11 +12,13 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use alex_rdf::{Dataset, Term};
-use alex_telemetry::{emit, span, Event};
+use alex_telemetry::span;
 
-use crate::agent::Agent;
+use crate::agent::{Agent, EpisodeSummary};
 use crate::config::AlexConfig;
-use crate::driver::StopReason;
+use crate::driver::{
+    begin_episode, change_fraction, convergence, emit_episode_end, score_episode, StopReason,
+};
 use crate::feedback::OracleFeedback;
 use crate::metrics::{EpisodeReport, Quality};
 use crate::space::{LinkSpace, PairId, SpaceConfig, SpaceInputs};
@@ -107,61 +109,51 @@ struct PartitionState {
 }
 
 impl PartitionState {
-    /// Run one episode round with the given feedback quota; returns
-    /// (changed-link count, correct, candidates, added, removed, negatives,
-    /// rollbacks, duration).
-    #[allow(clippy::type_complexity)]
-    fn run_round(
-        &mut self,
-        quota: usize,
-    ) -> (usize, usize, usize, usize, usize, f64, usize, Duration) {
+    /// Run one episode round with the given feedback quota; returns the
+    /// partition's episode report and how many of its links changed.
+    fn run_round(&mut self, quota: usize) -> (EpisodeReport, usize) {
         // Runs on a worker thread, so the span roots its own path there.
         let round_span = span("partition_round");
         let summary = self.agent.run_episode_sized(&mut self.oracle, quota);
         let duration = round_span.elapsed();
         self.total_duration += duration;
-
-        let current = self.agent.candidates().snapshot();
-        let changed = current.symmetric_difference(&self.prev).count();
-        let change_frac = if self.prev.is_empty() {
-            if current.is_empty() {
-                0.0
-            } else {
-                1.0
-            }
-        } else {
-            changed as f64 / self.prev.len() as f64
-        };
-        let (correct, quality) = Quality::evaluate_counted(
-            self.agent.candidates(),
-            self.agent.space(),
+        let (report, changed) = score_episode(
+            &self.agent,
             &self.local_truth,
+            &mut self.prev,
+            self.episodes.len() + 1,
+            &summary,
+            duration,
+            false,
         );
-        self.episodes.push(EpisodeReport {
-            episode: self.episodes.len() + 1,
-            quality,
-            candidates: current.len(),
-            correct,
-            added: summary.added,
-            removed: summary.removed,
-            negative_feedback_frac: summary.negative_frac(),
-            rollbacks: summary.rollbacks,
-            change_frac,
-            duration,
-            degraded: false,
-        });
-        self.prev = current;
-        (
-            changed,
-            correct,
-            self.agent.candidates().len(),
-            summary.added,
-            summary.removed,
-            summary.negative_frac(),
-            summary.rollbacks,
-            duration,
-        )
+        self.episodes.push(report.clone());
+        (report, changed)
     }
+}
+
+/// Run `job` on its own scoped thread for every item; results come back in
+/// item order, and a panicking job re-raises on the caller.
+fn on_threads<I, R, F>(items: I, job: F) -> Vec<R>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    std::thread::scope(|s| {
+        let job = &job;
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| s.spawn(move || job(item)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 /// Run ALEX over `partitions` equal-size partitions in parallel.
@@ -197,21 +189,8 @@ pub fn run_partitioned(
     let truth_ids: HashSet<(u32, u32)> = to_ids(truth).into_iter().collect();
 
     // Build spaces in parallel, one per partition.
-    let spaces: Vec<LinkSpace> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let inputs = &inputs;
-                let theta = cfg.space.theta;
-                s.spawn(move || LinkSpace::from_inputs(inputs, theta, Some((i, n))))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
+    let spaces = on_threads(0..n, |i| {
+        LinkSpace::from_inputs(&inputs, cfg.space.theta, Some((i, n)))
     });
     drop(inputs);
     drop(build_span);
@@ -253,29 +232,18 @@ pub fn run_partitioned(
         .collect();
 
     // Initial aggregate quality.
-    let initial_counts: Vec<(usize, usize)> = states
-        .iter()
-        .map(|st| {
-            let (correct, _) =
-                Quality::evaluate_counted(st.agent.candidates(), st.agent.space(), &truth_ids);
-            (correct, st.agent.candidates().len())
-        })
-        .collect();
-    let initial_quality = Quality::from_counts(
-        initial_counts.iter().map(|c| c.0).sum(),
-        initial_counts.iter().map(|c| c.1).sum(),
-        truth_ids.len(),
-    );
+    let (correct, candidates) = states.iter().fold((0, 0), |(correct, candidates), st| {
+        let (c, _) = Quality::evaluate_counted(st.agent.candidates(), st.agent.space(), &truth_ids);
+        (correct + c, candidates + st.agent.candidates().len())
+    });
+    let initial_quality = Quality::from_counts(correct, candidates, truth_ids.len());
 
     let mut episodes: Vec<EpisodeReport> = Vec::new();
     let mut relaxed_converged_at = None;
     let mut stop = StopReason::MaxEpisodes;
 
     for episode in 1..=cfg.alex.max_episodes {
-        let _episode_span = span("episode");
-        emit!(Event::EpisodeStart {
-            episode: episode as u64
-        });
+        let _episode_span = begin_episode(episode);
         // Quotas proportional to candidate counts.
         let counts: Vec<usize> = states.iter().map(|s| s.agent.candidates().len()).collect();
         let total: usize = counts.iter().sum();
@@ -305,35 +273,22 @@ pub fn run_partitioned(
         }
 
         // Run the round in parallel.
-        let round: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = states
-                .iter_mut()
-                .zip(quotas.iter())
-                .map(|(st, &quota)| s.spawn(move || st.run_round(quota)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
+        let round = on_threads(states.iter_mut().zip(quotas.iter()), |(st, &quota)| {
+            st.run_round(quota)
         });
 
         // Aggregate.
-        let prev_total: usize = counts.iter().sum();
-        let changed: usize = round.iter().map(|r| r.0).sum();
-        let correct: usize = round.iter().map(|r| r.1).sum();
-        let candidates: usize = round.iter().map(|r| r.2).sum();
-        let added: usize = round.iter().map(|r| r.3).sum();
-        let removed: usize = round.iter().map(|r| r.4).sum();
-        let rollbacks: usize = round.iter().map(|r| r.6).sum();
-        let duration = round.iter().map(|r| r.7).max().unwrap_or(Duration::ZERO);
+        let changed: usize = round.iter().map(|(_, changed)| changed).sum();
+        let sum = |field: fn(&EpisodeReport) -> usize| -> usize {
+            round.iter().map(|(report, _)| field(report)).sum()
+        };
+        let correct = sum(|r| r.correct);
+        let candidates = sum(|r| r.candidates);
         let neg_frac = {
             let weighted: f64 = round
                 .iter()
                 .zip(quotas.iter())
-                .map(|(r, &q)| r.5 * q as f64)
+                .map(|((r, _), &q)| r.negative_feedback_frac * q as f64)
                 .sum();
             let q_total: usize = quotas.iter().sum();
             if q_total == 0 {
@@ -342,52 +297,30 @@ pub fn run_partitioned(
                 weighted / q_total as f64
             }
         };
-        let change_frac = if prev_total == 0 {
-            0.0
-        } else {
-            changed as f64 / prev_total as f64
-        };
-        let quality = Quality::from_counts(correct, candidates, truth_ids.len());
-        episodes.push(EpisodeReport {
+        let report = EpisodeReport {
             episode,
-            quality,
+            quality: Quality::from_counts(correct, candidates, truth_ids.len()),
             candidates,
             correct,
-            added,
-            removed,
+            added: sum(|r| r.added),
+            removed: sum(|r| r.removed),
             negative_feedback_frac: neg_frac,
-            rollbacks,
-            change_frac,
-            duration,
+            rollbacks: sum(|r| r.rollbacks),
+            change_frac: change_fraction(changed, total, candidates),
+            duration: round
+                .iter()
+                .map(|(r, _)| r.duration)
+                .max()
+                .unwrap_or(Duration::ZERO),
+            // Budget supervision runs single-agent only.
             degraded: false,
-        });
-        emit!(Event::EpisodeEnd {
-            episode: episode as u64,
-            precision: quality.precision,
-            recall: quality.recall,
-            f_measure: quality.f_measure,
-            added: added as u64,
-            removed: removed as u64,
-            rollbacks: rollbacks as u64,
-            threads: alex_parallel::configured_threads() as u64,
-            duration_us: duration.as_micros() as u64,
-            recovered_from: 0,
-            // Trust admission runs single-partition only.
-            trust_admitted: 0,
-            trust_deferred: 0,
-            trust_cascades: 0,
-            // Budget supervision runs single-partition only.
-            degraded: false,
-        });
-        if relaxed_converged_at.is_none() && change_frac < cfg.alex.relaxed_convergence_frac {
-            relaxed_converged_at = Some(episode);
-        }
-        if changed == 0 {
-            stop = StopReason::Converged;
-            break;
-        }
-        if cfg.alex.stop_on_relaxed && change_frac < cfg.alex.relaxed_convergence_frac {
-            stop = StopReason::RelaxedConverged;
+        };
+        // Trust admission runs single-agent only: no trust tallies.
+        emit_episode_end(&report, &EpisodeSummary::default(), 0);
+        let converged = convergence(&cfg.alex, &report, changed, &mut relaxed_converged_at);
+        episodes.push(report);
+        if let Some(reason) = converged {
+            stop = reason;
             break;
         }
     }
@@ -504,22 +437,97 @@ mod tests {
         assert_eq!(run.per_partition.len(), 3);
     }
 
+    /// Everything a report records except wall-clock time.
+    fn identity(e: &EpisodeReport) -> String {
+        format!(
+            "ep {} q {:?} cand {} correct {} +{} -{} neg {} rb {} chg {} deg {}",
+            e.episode,
+            e.quality,
+            e.candidates,
+            e.correct,
+            e.added,
+            e.removed,
+            e.negative_feedback_frac,
+            e.rollbacks,
+            e.change_frac,
+            e.degraded
+        )
+    }
+
+    /// One partition is the single-agent driver: `run_partitioned` with
+    /// `partitions: 1` must report and link exactly what `driver::run`
+    /// does on the whole space with the seeds the partition uses.
     #[test]
     fn single_partition_equals_plain_structure() {
-        let (left, right, truth) = datasets();
-        let initial: Vec<(Term, Term)> = truth.iter().copied().take(4).collect();
-        let cfg = PartitionedConfig {
-            partitions: 1,
-            alex: AlexConfig {
-                episode_size: 40,
-                max_episodes: 10,
-                ..AlexConfig::default()
-            },
-            ..PartitionedConfig::default()
+        use crate::driver;
+        use alex_datagen::{
+            generate_pair, sample_initial_links, DatasetKind, InitialLinksSpec, PairSpec,
         };
-        let run = run_partitioned(&left, &right, &initial, &truth, &cfg);
-        assert_eq!(run.per_partition.len(), 1);
-        assert!((run.initial_quality.precision - 1.0).abs() < 1e-12);
+        let spec = PairSpec::of(DatasetKind::DBpediaNba, DatasetKind::NYTimes);
+        let mut episodes_seen = 0;
+        for seed in [7, 8] {
+            let pair = generate_pair(&spec.config(seed));
+            let (left, right) = (&pair.left, &pair.right);
+            let initial = sample_initial_links(&pair, InitialLinksSpec::low_p_high_r(seed));
+            for error_rate in [0.0, 0.1] {
+                let cfg = PartitionedConfig {
+                    partitions: 1,
+                    alex: AlexConfig {
+                        episode_size: 50,
+                        max_episodes: 10,
+                        ..AlexConfig::default()
+                    },
+                    space: SpaceConfig::default(),
+                    feedback_error_rate: error_rate,
+                };
+                let partitioned = run_partitioned(left, right, &initial, &pair.ground_truth, &cfg);
+
+                let space = LinkSpace::build(left, right, &cfg.space);
+                let ids = |pairs: &[(Term, Term)]| -> Vec<(u32, u32)> {
+                    pairs
+                        .iter()
+                        .filter_map(|&(l, r)| {
+                            Some((space.left_index().id(l)?, space.right_index().id(r)?))
+                        })
+                        .collect()
+                };
+                let initial_ids = ids(&initial);
+                let truth: HashSet<(u32, u32)> = ids(&pair.ground_truth).into_iter().collect();
+                let mut agent = Agent::new(space, &initial_ids, cfg.alex.clone());
+                let mut oracle = OracleFeedback::with_error_rate(
+                    truth.clone(),
+                    error_rate,
+                    cfg.alex.seed + 1000,
+                );
+                let plain = driver::run(&mut agent, &mut oracle, &truth);
+                let mut plain_links: Vec<(Term, Term)> = agent
+                    .candidates()
+                    .iter()
+                    .map(|id| agent.space().pair_terms(id))
+                    .collect();
+                plain_links.sort();
+
+                let case = format!("seed {seed}, error rate {error_rate}");
+                assert_eq!(partitioned.initial_quality, plain.initial_quality, "{case}");
+                assert_eq!(
+                    partitioned
+                        .episodes
+                        .iter()
+                        .map(identity)
+                        .collect::<Vec<_>>(),
+                    plain.episodes.iter().map(identity).collect::<Vec<_>>(),
+                    "{case}"
+                );
+                assert_eq!(partitioned.stop, plain.stop, "{case}");
+                assert_eq!(
+                    partitioned.relaxed_converged_at, plain.relaxed_converged_at,
+                    "{case}"
+                );
+                assert_eq!(partitioned.final_links, plain_links, "{case}");
+                episodes_seen += plain.episode_count();
+            }
+        }
+        assert!(episodes_seen >= 8, "runs too short to compare");
     }
 
     #[test]

@@ -37,6 +37,28 @@ cargo clippy -p alex-guard -- -D warnings
 cargo clippy -p alex-bench -- -D warnings
 
 echo "==> cargo test (ALEX_THREADS=1: deterministic pool runs inline)"
+# The workspace run covers every suite, so none is re-run on its own:
+# - kernel equivalence properties (alex-sim, alex-linking `properties`): the
+#   fast kernels stay bitwise-equal to their slow oracles (multi-block,
+#   combining-mark, and empty inputs; prepared ≡ generic value dispatch in
+#   both argument orders) and PARIS alignment stays byte-identical across
+#   thread counts;
+# - chaos_federation: seeded fault injection over the full improve loop;
+# - cache_differential: the answer cache is behaviorally invisible, and
+#   random link mutations are checked against a from-scratch oracle;
+# - fuzz_sparql: hard-coded seeds, so a deterministic budget of
+#   parse/serialize fixpoint, fingerprint, and sameAs-rewrite properties;
+# - federation_differential / federation_recall: catalog-pruned dispatch is
+#   byte-identical to broadcast, rewritten executions match plain ones and
+#   never serve stale answers, and recall rises with the closure while
+#   pruned traffic stays below broadcast;
+# - trace_report: --trace validity, PARIS worker nesting, alex report;
+# - adversarial_trust: the trust gate holds F against a 30% targeted
+#   poisoner mix, defers low-trust votes, and exports its counters;
+# - panic_chaos: quarantined chunk panics replay byte-identically (the test
+#   itself sweeps --threads 1/2/4/8);
+# - composed_chaos: storage faults + poisoners + faulty federation, crash
+#   and resume onto the uninterrupted reference.
 ALEX_THREADS=1 cargo test --workspace -q
 
 echo "==> cargo test (ALEX_THREADS=4: same suite, parallel pool)"
@@ -47,72 +69,11 @@ ALEX_THREADS=4 cargo test --workspace -q
 echo "==> cargo bench --no-run (bench targets must compile)"
 cargo bench --workspace --no-run -q
 
-echo "==> kernel equivalence properties (myers ≡ DP, interned ≡ string jaccard, char-slice jaro-winkler/levenshtein/token kernels ≡ string measures, prepared_similarity ≡ value_similarity)"
-# The fast kernels must stay bitwise-equal to their slow oracles, including
-# multi-block (>64 chars), combining-mark and empty inputs; the prepared
-# value path must equal the generic dispatch on mixed-kind pairs in both
-# argument orders; and PARIS alignment must stay byte-identical across
-# thread counts.
-cargo test -p alex-sim --test properties -q
-cargo test -p alex-linking --test properties -q
-
 echo "==> kernel bench compiles (throughput gate target)"
 cargo bench -p alex-bench --bench kernels --no-run -q
 
-echo "==> chaos suite (seeded fault injection over the full improve loop)"
-cargo test --test chaos_federation -q
-
-echo "==> cache differential suite (cached vs uncached byte-identity, shadow-oracle invalidation)"
-# The answer cache must be behaviorally invisible: improve/query output is
-# compared cached-vs-uncached across --threads 1/4 and fault profiles, and
-# random link-mutation sequences are checked against a from-scratch oracle.
-cargo test --test cache_differential -q
-
-echo "==> SPARQL fuzz (fixed seed budget: ~4k structured + ~6k mutated + ~1.5k rewrite inputs)"
-# Seeds are hard-coded in the test file, so this budget is deterministic;
-# no-panic, parse/serialize fixpoint (UNION included), fingerprint-invariance
-# (incl. union-branch reordering), and sameAs-rewrite idempotence properties.
-cargo test --test fuzz_sparql -q
-
-echo "==> smarter-federation differential + recall suites (ALEX_THREADS=1 and 4)"
-# Catalog-pruned dispatch must be byte-identical to broadcast across seeds,
-# cache settings, and fault profiles; rewritten executions must match plain
-# ones and never serve stale cached answers after a closure change; and the
-# recall/traffic experiment must show recall rising with the closure while
-# pruned traffic stays below broadcast (>= 30% reduction at full closure).
-ALEX_THREADS=1 cargo test --test federation_differential -q
-ALEX_THREADS=4 cargo test --test federation_differential -q
-ALEX_THREADS=1 cargo test --test federation_recall -q
-ALEX_THREADS=4 cargo test --test federation_recall -q
-
 echo "==> federation selectivity bench compiles (sub-query reduction gate target)"
 cargo bench -p alex-bench --bench federation_selectivity --no-run -q
-
-echo "==> trace & report suite (--trace validity, PARIS worker nesting, alex report)"
-cargo test --test trace_report -q
-
-echo "==> adversarial-feedback suite (trust gate vs seeded poisoners, quorum deferral, thread invariance)"
-# A 30% targeted-poisoner mix must not move the gated run's F while the
-# ungated run collapses; deferred votes stay buffered; output is
-# byte-identical across thread counts and the trust counters export.
-cargo test --test adversarial_trust -q
-
-echo "==> panic-chaos suite (quarantined chunk panics + WAL replay, byte-identity at 1 and 4 threads)"
-# Seeded chunk panics are quarantined by the pool and re-executed
-# sequentially; a suspended run is resumed through the WAL. Output must be
-# byte-identical to the undisturbed reference at every pool width (the
-# test itself sweeps --threads 1/2/4/8; the env var pins the default width
-# for everything around it).
-ALEX_THREADS=1 cargo test --test panic_chaos -q
-ALEX_THREADS=4 cargo test --test panic_chaos -q
-
-echo "==> composed-chaos suite (storage faults + poisoners + faulty federation, crash & resume)"
-# All fault domains in one durable loop: a torn journal write kills
-# the run mid-attack, recovery + resume must land on the uninterrupted
-# reference's exact links, admission log, and trust posteriors — plus the
-# chaos gate (chunk panics + stalls + silent store faults + flaky
-# federation under quarantine) and the CLI SIGKILL legs.
-cargo test --test composed_chaos -q
 
 echo "==> kill-and-resume smoke (SIGKILL mid-run, --resume, diff vs reference)"
 # An improve run is SIGKILLed at an episode commit, resumed with --resume,

@@ -21,13 +21,15 @@
 //! (`.ttl`). Links are exchanged as `owl:sameAs` N-Triples, so the output
 //! of `link`/`improve` is directly usable by any linked-data tool.
 
+use std::collections::HashSet;
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use alex::core::{
     driver, run_partitioned, workload_from_links, AdversarialPopulation, Agent, AlexConfig,
-    Durability, FeedbackBridge, FeedbackSource, LinkSpace, OracleFeedback, PartitionedConfig,
-    Quality, QueryFeedback, SpaceConfig, StopReason, TrustConfig,
+    Durability, EpisodeReport, FeedbackBridge, FeedbackSource, LinkSpace, OracleFeedback,
+    PartitionedConfig, Quality, QueryFeedback, SpaceConfig, StopReason, TrustConfig,
 };
 use alex::guard::{BreachPolicy, Budget, ChaosProfile, Supervisor};
 
@@ -37,8 +39,8 @@ use alex::datagen::{
 use alex::linking::{LabelBaseline, LinkerOutput, Paris, ParisConfig};
 use alex::rdf::{ntriples, turtle, Dataset, Term};
 use alex::sparql::{
-    parse, Catalog, Completeness, DatasetEndpoint, Endpoint, FaultProfile, FaultyEndpoint,
-    FederatedEngine, ResilienceConfig, SameAsLinks,
+    parse, Catalog, Completeness, DatasetEndpoint, FaultProfile, FaultyEndpoint, FederatedEngine,
+    ResilienceConfig, SameAsLinks,
 };
 
 fn main() -> ExitCode {
@@ -87,7 +89,8 @@ USAGE:
               [--error-rate E] [--out FILE]
       Run ALEX: start from --links, learn from oracle feedback against
       --truth, print per-episode precision/recall/F, and write the
-      improved links.
+      improved links. Runs one agent per partition (default 4) unless
+      a single-agent flag is given (see SINGLE-AGENT RUNS).
 
   alex query --data FILE [--data FILE ...] [--links FILE]
              (--query-file FILE | QUERY)
@@ -114,6 +117,15 @@ USAGE:
   sampling the ground truth directly; --queries N caps the workload
   size (default 50).
 
+SINGLE-AGENT RUNS (improve):
+  --feedback query, --state-dir, and the ROBUSTNESS and SUPERVISION
+  flags run one agent over the whole link space instead of partitions,
+  and reject --partitions other than 1. --state-dir, the ROBUSTNESS and
+  SUPERVISION flags, and --error-rate need oracle feedback. They
+  compose with each other: trust state and breach markers are journaled
+  with each episode, so a resumed run replays them exactly. Keep the
+  flags unchanged across --resume invocations.
+
 FAULT TOLERANCE (improve --feedback query, and query):
   --fault-profile SPEC      Inject deterministic faults into every
                             endpoint, e.g.
@@ -129,7 +141,7 @@ FAULT TOLERANCE (improve --feedback query, and query):
                             failure aborts the query instead of
                             completing partially without that source.
 
-ADVERSARIAL ROBUSTNESS (improve, oracle feedback, single-partition):
+ADVERSARIAL ROBUSTNESS (improve, single agent):
   --trust                   Gate link mutations behind trust-weighted
                             quorum admission: each feedback item is a
                             vote; votes apply only once the voters'
@@ -151,18 +163,14 @@ ADVERSARIAL ROBUSTNESS (improve, oracle feedback, single-partition):
                             (lies only on high-value links), sybil
                             (always lies), coalition (shared seeded
                             target set). E.g. 'poisoner:0.3'.
-  These flags compose with --state-dir: trust state (reliability
-  posteriors, pending votes, the admission log) is journaled and
-  snapshotted, so kill-and-resume preserves the defense exactly.
-  Keep them unchanged across --resume invocations.
 
-DURABILITY (improve, oracle feedback):
+DURABILITY (improve, single agent):
   --state-dir DIR           Journal every episode and snapshot the full
                             learning state under DIR; a killed run can be
                             continued with --resume. Durable runs are
-                            single-partition and deterministic: an
-                            interrupted-and-resumed run produces exactly
-                            the links an uninterrupted one would.
+                            deterministic: an interrupted-and-resumed run
+                            produces exactly the links an uninterrupted
+                            one would.
   --resume                  Continue the run found in --state-dir
                             (snapshot restore + journal replay). A fresh
                             directory starts fresh, so --resume is always
@@ -187,7 +195,7 @@ PARALLELISM (link, improve, query):
                             'fail' re-raises the panic after the dispatch
                             drains (lowest chunk wins, deterministically).
 
-SUPERVISION (improve, oracle feedback, single-partition):
+SUPERVISION (improve, single agent):
   --episode-budget-ms MS    Wall-clock budget per episode. Budgets are
                             checked at episode boundaries: an episode is
                             never interrupted mid-flight, it is finalized,
@@ -200,8 +208,6 @@ SUPERVISION (improve, oracle feedback, single-partition):
                             finalizes the breaching episode then stops the
                             run with BudgetExhausted; 'continue' keeps
                             running and only records the degradation.
-                            Breach markers are journaled with the episode
-                            (--state-dir), so a resumed run replays them.
   --chaos-profile SPEC      Seeded chunk-level fault injection into every
                             pool dispatch (chaos suites), e.g.
                             'seed=7,panic-at-chunk=3+17,panic-rate=0.01,slow-rate=0.05,slow-ms=2,alloc-rate=0.01,alloc-mb=8'.
@@ -317,17 +323,25 @@ fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
+/// `--name V` parsed as a `T`; `None` when the flag is absent.
+fn parse_opt<T: std::str::FromStr>(
+    flags: &[(String, String)],
+    name: &str,
+) -> Result<Option<T>, String> {
+    flag(flags, name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid value '{v}' for --{name}"))
+        })
+        .transpose()
+}
+
 fn parse_flag<T: std::str::FromStr>(
     flags: &[(String, String)],
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match flag(flags, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for --{name}")),
-    }
+    Ok(parse_opt(flags, name)?.unwrap_or(default))
 }
 
 /// Apply the process-global pool settings: `--threads N` (pool width;
@@ -336,10 +350,7 @@ fn parse_flag<T: std::str::FromStr>(
 /// (quarantine|fail), and `--chaos-profile` (seeded chunk-fault
 /// injection for the chaos suites).
 fn configure_threads(flags: &Flags) -> Result<(), String> {
-    if let Some(v) = flag(flags, "threads") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for --threads"))?;
+    if let Some(n) = parse_opt::<usize>(flags, "threads")? {
         if n == 0 {
             return Err("--threads must be at least 1".into());
         }
@@ -358,63 +369,28 @@ fn configure_threads(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Run-supervision options: the budget plus what to do on breach.
-#[derive(Debug, PartialEq)]
-struct GuardOpts {
-    budget: Budget,
-    policy: BreachPolicy,
-}
-
-impl GuardOpts {
-    fn make_supervisor(&self) -> Supervisor {
-        Supervisor::new(self.budget, self.policy)
-    }
-}
-
-/// Parse and validate the budget-supervision flags. `None` when no budget
-/// flag was given; an error when `--budget-policy` appears alone (a policy
-/// with nothing to police is a spelling mistake, not a request) or when
-/// the flags are combined with modes the supervisor does not cover
-/// (supervision wraps the single-partition driver loop, like durability).
-fn guard_opts(flags: &Flags) -> Result<Option<GuardOpts>, String> {
+/// Parse and validate the budget-supervision flags into the run's
+/// supervisor. `None` when no budget flag was given; an error when
+/// `--budget-policy` appears alone (a policy with nothing to police is a
+/// spelling mistake, not a request).
+fn guard_opts(flags: &Flags) -> Result<Option<Supervisor>, String> {
     let mut budget = Budget::unlimited();
-    if let Some(ms) = flag(flags, "episode-budget-ms") {
-        budget = budget.episode_wall_ms(
-            ms.parse()
-                .map_err(|_| format!("invalid value '{ms}' for --episode-budget-ms"))?,
-        );
+    if let Some(ms) = parse_opt(flags, "episode-budget-ms")? {
+        budget = budget.episode_wall_ms(ms);
     }
-    if let Some(ms) = flag(flags, "run-budget-ms") {
-        budget = budget.run_wall_ms(
-            ms.parse()
-                .map_err(|_| format!("invalid value '{ms}' for --run-budget-ms"))?,
-        );
+    if let Some(ms) = parse_opt(flags, "run-budget-ms")? {
+        budget = budget.run_wall_ms(ms);
     }
-    if let Some(mb) = flag(flags, "max-rss-mb") {
-        budget = budget.max_rss_mb(
-            mb.parse()
-                .map_err(|_| format!("invalid value '{mb}' for --max-rss-mb"))?,
-        );
+    if let Some(mb) = parse_opt(flags, "max-rss-mb")? {
+        budget = budget.max_rss_mb(mb);
     }
     if budget.is_unlimited() {
         if flag(flags, "budget-policy").is_some() {
-            return Err("--budget-policy requires a budget flag                  (--episode-budget-ms, --run-budget-ms, or --max-rss-mb)"
+            return Err("--budget-policy requires a budget flag \
+                 (--episode-budget-ms, --run-budget-ms, or --max-rss-mb)"
                 .into());
         }
         return Ok(None);
-    }
-    if flag(flags, "feedback").is_some_and(|f| f != "oracle") {
-        return Err(
-            "budget supervision requires oracle feedback: the supervisor wraps the              single-partition driver loop"
-                .into(),
-        );
-    }
-    if let Some(p) = flag(flags, "partitions") {
-        if p != "1" {
-            return Err(
-                "supervised runs are single-partition; drop --partitions or set it to 1".into(),
-            );
-        }
     }
     let policy = match flag(flags, "budget-policy") {
         None => BreachPolicy::Stop,
@@ -422,7 +398,7 @@ fn guard_opts(flags: &Flags) -> Result<Option<GuardOpts>, String> {
             .parse()
             .map_err(|e: String| format!("--budget-policy: {e}"))?,
     };
-    Ok(Some(GuardOpts { budget, policy }))
+    Ok(Some(Supervisor::new(budget, policy)))
 }
 
 /// Print the supervision verdict after a supervised run.
@@ -605,8 +581,7 @@ struct DurableOpts {
 }
 
 /// Parse and validate the durability flags. `None` when no `--state-dir`
-/// was given; an error when a dependent flag appears without it (or with a
-/// setting durable runs cannot honor).
+/// was given; an error when a dependent flag appears without it.
 fn durable_opts(flags: &Flags) -> Result<Option<DurableOpts>, String> {
     let state_dir = flag(flags, "state-dir");
     for dependent in ["resume", "snapshot-every", "kill-after"] {
@@ -619,20 +594,6 @@ fn durable_opts(flags: &Flags) -> Result<Option<DurableOpts>, String> {
     let Some(dir) = state_dir else {
         return Ok(None);
     };
-    if let Some(p) = flag(flags, "partitions") {
-        if p != "1" {
-            return Err(
-                "--state-dir runs are single-partition; drop --partitions or set it to 1".into(),
-            );
-        }
-    }
-    if flag(flags, "feedback").is_some_and(|f| f != "oracle") {
-        return Err(
-            "--state-dir requires oracle feedback: live query feedback cannot be \
-                    journaled for deterministic replay"
-                .into(),
-        );
-    }
     let kill_after = flag(flags, "kill-after")
         .map(|v| {
             v.parse::<u64>()
@@ -668,37 +629,11 @@ impl RobustnessOpts {
     fn needs_population(&self) -> bool {
         self.sources > 1 || self.profile.is_some()
     }
-
-    /// Build the run's feedback source: the adversarial population when one
-    /// is needed, the plain oracle otherwise.
-    fn make_source(
-        &self,
-        truth: &std::collections::HashSet<(u32, u32)>,
-        error_rate: f64,
-        seed: u64,
-    ) -> Box<dyn FeedbackSource> {
-        if self.needs_population() {
-            let roles = assign_roles(self.profile.as_ref(), self.sources, seed);
-            Box::new(AdversarialPopulation::new(
-                truth.clone(),
-                roles,
-                error_rate,
-                seed,
-            ))
-        } else {
-            Box::new(OracleFeedback::with_error_rate(
-                truth.clone(),
-                error_rate,
-                seed,
-            ))
-        }
-    }
 }
 
 /// Parse and validate the adversarial-robustness flags. `None` when none of
 /// `--trust`, `--quorum`, `--sources`, `--adversary-profile` was given; an
-/// error on inconsistent combinations (these runs are single-partition and
-/// need oracle feedback, like durable runs).
+/// error on inconsistent combinations among them.
 fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
     let trust_enabled = flag(flags, "trust").is_some();
     if !trust_enabled && flag(flags, "quorum").is_some() {
@@ -706,10 +641,8 @@ fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
     }
     let trust = if trust_enabled {
         let mut cfg = TrustConfig::default();
-        if let Some(v) = flag(flags, "quorum") {
-            cfg.quorum = v
-                .parse()
-                .map_err(|_| format!("invalid value '{v}' for --quorum"))?;
+        if let Some(quorum) = parse_opt(flags, "quorum")? {
+            cfg.quorum = quorum;
         }
         cfg.validate().map_err(|e| format!("--trust: {e}"))?;
         Some(cfg)
@@ -726,22 +659,6 @@ fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
     if trust.is_none() && profile.is_none() && flag(flags, "sources").is_none() {
         return Ok(None);
     }
-    if flag(flags, "feedback").is_some_and(|f| f != "oracle") {
-        return Err(
-            "--trust/--sources/--adversary-profile require oracle feedback: the trust \
-             gate sits on the oracle improve loop"
-                .into(),
-        );
-    }
-    if let Some(p) = flag(flags, "partitions") {
-        if p != "1" {
-            return Err(
-                "--trust/--sources/--adversary-profile runs are single-partition; \
-                 drop --partitions or set it to 1"
-                    .into(),
-            );
-        }
-    }
     Ok(Some(RobustnessOpts {
         trust,
         profile,
@@ -749,29 +666,98 @@ fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
     }))
 }
 
+/// Validated options of a single-agent `improve` run, which query
+/// feedback, `--state-dir`, the robustness flags, and a budget each select.
+#[derive(Debug)]
+struct SingleAgentOpts {
+    /// `--feedback query`: judge federated answers instead of asking the
+    /// oracle.
+    query_feedback: bool,
+    durable: Option<DurableOpts>,
+    robust: Option<RobustnessOpts>,
+    guard: Option<Supervisor>,
+}
+
+/// Parse every `improve` flag group, then check the rules across groups —
+/// the one place they live. Every single-agent mode rejects `--partitions`
+/// other than 1; durability, robustness, supervision, and `--error-rate`
+/// (the oracle's judgment error rate) reject query feedback. `None` selects
+/// the partitioned oracle run.
+fn improve_opts(flags: &Flags) -> Result<Option<SingleAgentOpts>, String> {
+    let query_feedback = match flag(flags, "feedback").unwrap_or("oracle") {
+        "oracle" => false,
+        "query" => true,
+        other => {
+            return Err(format!(
+                "--feedback must be 'oracle' or 'query', got '{other}'"
+            ))
+        }
+    };
+    let opts = SingleAgentOpts {
+        query_feedback,
+        durable: durable_opts(flags)?,
+        robust: robustness_opts(flags)?,
+        guard: guard_opts(flags)?,
+    };
+    cache_opts(flags)?;
+
+    // Each single-agent mode, in precedence order, and why it needs oracle
+    // feedback (`None`: it does not).
+    let modes = [
+        (
+            opts.durable.is_some(),
+            "--state-dir",
+            Some("live query feedback cannot be journaled for deterministic replay"),
+        ),
+        (
+            opts.robust.is_some(),
+            "--trust/--sources/--adversary-profile",
+            Some("the trust gate sits on the oracle improve loop"),
+        ),
+        (
+            opts.guard.is_some(),
+            "budget supervision",
+            Some("the supervisor wraps the single-partition driver loop"),
+        ),
+        (query_feedback, "query feedback", None),
+    ];
+    let active = || modes.iter().filter(|(on, ..)| *on);
+    let Some(&(_, mode, _)) = active().next() else {
+        return Ok(None);
+    };
+    if flag(flags, "partitions").is_some_and(|p| p != "1") {
+        return Err(format!(
+            "{mode} runs are single-partition; drop --partitions or set it to 1"
+        ));
+    }
+    if query_feedback {
+        let error_rate = flag(flags, "error-rate")
+            .map(|_| ("--error-rate", "it sets the oracle's judgment error rate"));
+        let oracle_only = active()
+            .find_map(|&(_, mode, why)| Some((mode, why?)))
+            .or(error_rate);
+        if let Some((mode, why)) = oracle_only {
+            return Err(format!("{mode} requires oracle feedback: {why}"));
+        }
+    }
+    Ok(Some(opts))
+}
+
 /// Build the endpoint resilience policy from the shared fault-tolerance
 /// flags; `None` when no flag was given (keep the engine's default).
 fn resilience_from_flags(flags: &Flags) -> Result<Option<ResilienceConfig>, String> {
     let mut cfg = ResilienceConfig::default();
     let mut touched = false;
-    if let Some(v) = flag(flags, "retries") {
-        cfg.retry.max_retries = v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for --retries"))?;
+    if let Some(retries) = parse_opt(flags, "retries")? {
+        cfg.retry.max_retries = retries;
         touched = true;
     }
-    if let Some(v) = flag(flags, "backoff-ms") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for --backoff-ms"))?;
-        cfg.retry.initial_backoff = std::time::Duration::from_millis(ms);
+    if let Some(ms) = parse_opt(flags, "backoff-ms")? {
+        cfg.retry.initial_backoff = Duration::from_millis(ms);
         touched = true;
     }
-    if let Some(v) = flag(flags, "endpoint-budget-ms") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for --endpoint-budget-ms"))?;
-        cfg.endpoint_budget = Some(std::time::Duration::from_millis(ms));
+    if let Some(ms) = parse_opt(flags, "endpoint-budget-ms")? {
+        cfg.endpoint_budget = Some(Duration::from_millis(ms));
         touched = true;
     }
     if flag(flags, "fail-fast").is_some() {
@@ -788,12 +774,34 @@ fn fault_profile_from_flags(flags: &Flags) -> Result<Option<FaultProfile>, Strin
         .transpose()
 }
 
-/// Wrap a dataset endpoint in the fault injector when a profile is active.
-fn make_endpoint(ds: Dataset, profile: &Option<FaultProfile>) -> Box<dyn Endpoint> {
-    match profile {
-        Some(p) => Box::new(FaultyEndpoint::new(DatasetEndpoint::new(ds), p.clone())),
-        None => Box::new(DatasetEndpoint::new(ds)),
+/// A federated engine over `datasets` (and `links`, when given) with the
+/// shared fault-tolerance, answer-cache, and catalog flags applied.
+fn federated_engine(
+    datasets: Vec<Dataset>,
+    links: Option<SameAsLinks>,
+    flags: &Flags,
+) -> Result<FederatedEngine, String> {
+    let profile = fault_profile_from_flags(flags)?;
+    let mut engine = FederatedEngine::new();
+    for ds in datasets {
+        engine.add_endpoint(match &profile {
+            Some(p) => Box::new(FaultyEndpoint::new(DatasetEndpoint::new(ds), p.clone())),
+            None => Box::new(DatasetEndpoint::new(ds)),
+        });
     }
+    if let Some(links) = links {
+        engine.set_links(links);
+    }
+    if let Some(resilience) = resilience_from_flags(flags)? {
+        engine.set_resilience(resilience);
+    }
+    if let Some(capacity) = cache_opts(flags)? {
+        engine.enable_cache(capacity);
+    }
+    if let Some(catalog) = catalog_opts(flags) {
+        apply_catalog(&mut engine, &catalog)?;
+    }
+    Ok(engine)
 }
 
 fn pair_spec_by_name(name: &str) -> Result<PairSpec, String> {
@@ -937,105 +945,40 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
         return Err("improve requires exactly two data files".into());
     };
     configure_threads(&flags)?;
-    let durable = durable_opts(&flags)?;
-    let robust = robustness_opts(&flags)?;
-    let guard = guard_opts(&flags)?;
+    let single_agent = improve_opts(&flags)?;
     let telemetry = telemetry_setup(&flags)?;
     let left = load_dataset(left_path)?;
     let right = load_dataset(right_path)?;
     let links = load_links(flag(&flags, "links").ok_or("--links is required")?)?;
     let truth = load_links(flag(&flags, "truth").ok_or("--truth is required")?)?;
 
-    if let Some(opts) = durable {
-        return improve_durable(
-            &left, &right, &links, &truth, &flags, &telemetry, opts, robust, guard,
-        );
-    }
-    if let Some(robust) = robust {
-        return improve_robust(
-            &left, &right, &links, &truth, &flags, &telemetry, robust, guard,
-        );
-    }
-    if guard.is_some() {
-        // Supervision alone still runs the single-partition driver loop;
-        // a default (oracle, single-source) robustness shell provides it.
-        let plain = RobustnessOpts {
-            trust: None,
-            profile: None,
-            sources: 1,
+    let final_links = if let Some(opts) = single_agent {
+        improve_single_agent(&left, &right, &links, &truth, &flags, opts)?
+    } else {
+        let (initial, truth_pairs) = resolve_links(&left, &right, &links, &truth, "")?;
+        let cfg = PartitionedConfig {
+            partitions: parse_flag(&flags, "partitions", 4usize)?,
+            alex: AlexConfig {
+                episode_size: parse_flag(&flags, "episode-size", 1000usize)?,
+                max_episodes: parse_flag(&flags, "episodes", 40usize)?,
+                ..AlexConfig::default()
+            },
+            space: SpaceConfig::default(),
+            feedback_error_rate: parse_flag(&flags, "error-rate", 0.0f64)?,
         };
-        return improve_robust(
-            &left, &right, &links, &truth, &flags, &telemetry, plain, guard,
+        let run = run_partitioned(&left, &right, &initial, &truth_pairs, &cfg);
+        print_run(
+            run.initial_quality,
+            &run.episodes,
+            run.stop,
+            run.total_duration,
         );
-    }
-
-    match flag(&flags, "feedback").unwrap_or("oracle") {
-        "oracle" => {}
-        "query" => {
-            return improve_with_query_feedback(&left, &right, &links, &truth, &flags, &telemetry)
-        }
-        other => {
-            return Err(format!(
-                "--feedback must be 'oracle' or 'query', got '{other}'"
-            ))
-        }
-    }
-
-    let to_term_pairs = |set: &SameAsLinks| -> Vec<(Term, Term)> {
-        set.iter()
-            .filter_map(|l| {
-                let lt = left.interner().get(&l.left).map(Term::Iri)?;
-                let rt = right.interner().get(&l.right).map(Term::Iri)?;
-                Some((lt, rt))
-            })
-            .collect()
+        run.final_links
     };
-    let initial = to_term_pairs(&links);
-    let truth_pairs = to_term_pairs(&truth);
-    if truth_pairs.is_empty() {
-        return Err("no ground-truth link references entities of these data sets".into());
-    }
-    eprintln!(
-        "initial links: {} usable of {}; ground truth: {} usable of {}",
-        initial.len(),
-        links.len(),
-        truth_pairs.len(),
-        truth.len()
-    );
 
-    let cfg = PartitionedConfig {
-        partitions: parse_flag(&flags, "partitions", 4usize)?,
-        alex: AlexConfig {
-            episode_size: parse_flag(&flags, "episode-size", 1000usize)?,
-            max_episodes: parse_flag(&flags, "episodes", 40usize)?,
-            ..AlexConfig::default()
-        },
-        space: SpaceConfig::default(),
-        feedback_error_rate: parse_flag(&flags, "error-rate", 0.0f64)?,
-    };
-    let run = run_partitioned(&left, &right, &initial, &truth_pairs, &cfg);
-
-    let print_q = |tag: &str, q: Quality| {
-        println!(
-            "{tag:>8}  P {:.3}  R {:.3}  F {:.3}",
-            q.precision, q.recall, q.f_measure
-        );
-    };
-    print_q("initial", run.initial_quality);
-    for e in &run.episodes {
-        print_q(&format!("ep {}", e.episode), e.quality);
-    }
-    println!(
-        "stopped: {:?} after {} episodes ({:.2?})",
-        run.stop,
-        run.episodes.len(),
-        run.total_duration
-    );
-
-    // Export the union of the partitions' final candidate links.
     if let Some(out) = flag(&flags, "out") {
         let final_links = SameAsLinks::from_pairs(
-            run.final_links
+            final_links
                 .iter()
                 .map(|&(l, r)| (left.resolve(l).to_string(), right.resolve(r).to_string())),
         );
@@ -1044,226 +987,224 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
     telemetry.finish()
 }
 
-/// `improve --state-dir`: the crash-safe single-partition run. Every episode
-/// is journaled before the run proceeds; `--resume` restores the newest
-/// snapshot and replays the journal tail, yielding exactly the links an
-/// uninterrupted run would have produced.
-#[allow(clippy::too_many_arguments)]
-fn improve_durable(
+/// `(left term, right term)` link pairs.
+type TermPairs = Vec<(Term, Term)>;
+
+/// Resolve `--links` and `--truth` to the `(left term, right term)` pairs
+/// whose IRIs are entities of both data sets — the one mapping both improve
+/// paths start from — and print the line every improve run starts with
+/// (`note` adds run details). Fails when no ground-truth link resolves.
+fn resolve_links(
     left: &Dataset,
     right: &Dataset,
     links: &SameAsLinks,
     truth: &SameAsLinks,
-    flags: &Flags,
-    telemetry: &TelemetryOpts,
-    opts: DurableOpts,
-    robust: Option<RobustnessOpts>,
-    guard: Option<GuardOpts>,
-) -> Result<(), String> {
-    let left_index = left.entity_index();
-    let right_index = right.entity_index();
-    let to_ids = |set: &SameAsLinks| -> Vec<(u32, u32)> {
+    note: &str,
+) -> Result<(TermPairs, TermPairs), String> {
+    let entity = |ds: &Dataset, iri: &str| {
+        let term = ds.interner().get(iri).map(Term::Iri)?;
+        (ds.graph().subject_degree(term) > 0).then_some(term)
+    };
+    let pairs = |set: &SameAsLinks| -> TermPairs {
         set.iter()
-            .filter_map(|l| {
-                let lt = left.interner().get(&l.left).map(Term::Iri)?;
-                let rt = right.interner().get(&l.right).map(Term::Iri)?;
-                Some((left_index.id(lt)?, right_index.id(rt)?))
-            })
+            .filter_map(|l| Some((entity(left, &l.left)?, entity(right, &l.right)?)))
             .collect()
     };
-    let initial_ids = to_ids(links);
-    let truth_ids: std::collections::HashSet<(u32, u32)> = to_ids(truth).into_iter().collect();
-    if truth_ids.is_empty() {
+    let (initial, truth_pairs) = (pairs(links), pairs(truth));
+    if truth_pairs.is_empty() {
         return Err("no ground-truth link references entities of these data sets".into());
     }
     eprintln!(
-        "initial links: {} usable of {}; ground truth: {} usable of {} (durable: {})",
-        initial_ids.len(),
+        "initial links: {} usable of {}; ground truth: {} usable of {}{note}",
+        initial.len(),
         links.len(),
-        truth_ids.len(),
-        truth.len(),
-        opts.state_dir
+        truth_pairs.len(),
+        truth.len()
     );
+    Ok((initial, truth_pairs))
+}
 
-    let cfg = AlexConfig {
-        episode_size: parse_flag(flags, "episode-size", 1000usize)?,
-        max_episodes: parse_flag(flags, "episodes", 40usize)?,
-        trust: robust.as_ref().and_then(|r| r.trust),
-        ..AlexConfig::default()
-    };
-    let space = LinkSpace::build(left, right, &SpaceConfig::default());
-    let mut agent = Agent::new(space, &initial_ids, cfg.clone());
-    let error_rate: f64 = parse_flag(flags, "error-rate", 0.0f64)?;
-    let mut source: Box<dyn FeedbackSource> = match &robust {
-        Some(r) => r.make_source(&truth_ids, error_rate, cfg.seed),
-        None => Box::new(OracleFeedback::with_error_rate(
-            truth_ids.clone(),
-            error_rate,
-            cfg.seed,
-        )),
-    };
-
-    let (mut store, recovery) = alex::store::DirectStore::open(Path::new(&opts.state_dir))
-        .map_err(|e| format!("cannot open state dir {}: {e}", opts.state_dir))?;
-    if !recovery.is_fresh() {
-        eprintln!(
-            "recovering from {}: snapshot {}, {} journal episode(s){}",
-            opts.state_dir,
-            recovery
-                .snapshot
-                .as_ref()
-                .map(|(seq, _)| seq.to_string())
-                .unwrap_or_else(|| "none".into()),
-            recovery.journal_tail.len(),
-            if recovery.repaired() {
-                " (repaired torn/corrupt records)"
-            } else {
-                ""
-            }
-        );
-    }
-    let mut durability = Durability::new(&mut store, recovery)
-        .snapshot_every(opts.snapshot_every)
-        .resume(opts.resume);
-    let mut commits_this_session = 0u64;
-    if let Some(kill_after) = opts.kill_after {
-        durability = durability.on_commit(move |episode| {
-            commits_this_session += 1;
-            if commits_this_session == kill_after {
-                // A genuine SIGKILL — no unwinding, no destructors, no
-                // flushing — exactly what the crash-safety tests need.
-                eprintln!("kill-after: SIGKILL at episode {episode} commit");
-                let _ = std::process::Command::new("kill")
-                    .args(["-9", &std::process::id().to_string()])
-                    .status();
-                // Unreachable once the signal lands; sleep so we never race
-                // past the commit boundary and run another episode.
-                std::thread::sleep(std::time::Duration::from_secs(60));
-            }
-        });
-    }
-    let supervisor = guard.as_ref().map(GuardOpts::make_supervisor);
-    let report = match supervisor {
-        Some(mut sup) => {
-            let report = driver::run_durable_supervised(
-                &mut agent,
-                source.as_mut(),
-                &truth_ids,
-                durability,
-                &mut sup,
-            )?;
-            print_supervision(&sup, &report);
-            report
-        }
-        None => driver::run_durable(&mut agent, source.as_mut(), &truth_ids, durability)?,
-    };
-
+/// Print a run's initial and per-episode precision/recall/F and how it
+/// stopped.
+fn print_run(initial: Quality, episodes: &[EpisodeReport], stop: StopReason, total: Duration) {
     let print_q = |tag: &str, q: Quality| {
         println!(
             "{tag:>8}  P {:.3}  R {:.3}  F {:.3}",
             q.precision, q.recall, q.f_measure
         );
     };
-    print_q("initial", report.initial_quality);
-    for e in &report.episodes {
+    print_q("initial", initial);
+    for e in episodes {
         print_q(&format!("ep {}", e.episode), e.quality);
     }
     println!(
-        "stopped: {:?} after {} episodes ({:.2?})",
-        report.stop,
-        report.episodes.len(),
-        report.total_duration
+        "stopped: {stop:?} after {} episodes ({total:.2?})",
+        episodes.len()
     );
-    if report.stop == StopReason::Suspended {
-        eprintln!(
-            "run suspended; continue with: alex improve ... --state-dir {} --resume",
-            opts.state_dir
-        );
-    }
-
-    if let Some(out) = flag(flags, "out") {
-        let final_links = SameAsLinks::from_pairs(agent.candidates().iter().map(|id| {
-            let (lt, rt) = agent.space().pair_terms(id);
-            (left.resolve(lt).to_string(), right.resolve(rt).to_string())
-        }));
-        write_or_print(Some(out), &final_links.to_ntriples())?;
-    }
-    telemetry.finish()
 }
 
-/// `improve --trust` / `--sources` / `--adversary-profile` without
-/// `--state-dir`: the single-partition adversarial-robustness run. Feedback
-/// comes from an attributed source population (possibly with seeded
-/// adversaries) and, with `--trust`, link mutations pass through quorum
-/// admission with cascading rollback.
-#[allow(clippy::too_many_arguments)]
-fn improve_robust(
+/// The single-agent run: one link space and one feedback source — the
+/// oracle, an attributed source population (possibly adversarial, possibly
+/// trust-gated), or judged answers to federated queries — with optional
+/// durability (`--state-dir`) and supervision (a budget), all through one
+/// driver call. Returns the final candidate links.
+fn improve_single_agent(
     left: &Dataset,
     right: &Dataset,
     links: &SameAsLinks,
     truth: &SameAsLinks,
     flags: &Flags,
-    telemetry: &TelemetryOpts,
-    robust: RobustnessOpts,
-    guard: Option<GuardOpts>,
-) -> Result<(), String> {
-    let left_index = left.entity_index();
-    let right_index = right.entity_index();
-    let to_ids = |set: &SameAsLinks| -> Vec<(u32, u32)> {
-        set.iter()
-            .filter_map(|l| {
-                let lt = left.interner().get(&l.left).map(Term::Iri)?;
-                let rt = right.interner().get(&l.right).map(Term::Iri)?;
-                Some((left_index.id(lt)?, right_index.id(rt)?))
-            })
-            .collect()
+    opts: SingleAgentOpts,
+) -> Result<TermPairs, String> {
+    let robust = opts.robust.unwrap_or(RobustnessOpts {
+        trust: None,
+        profile: None,
+        sources: 1,
+    });
+    let query = if opts.query_feedback {
+        // Queries anchored on ground-truth links: each is answerable only by
+        // crossing a sameAs link, so its answers carry judgeable provenance.
+        let truth_iris: Vec<(String, String)> = truth
+            .iter()
+            .map(|l| (l.left.clone(), l.right.clone()))
+            .collect();
+        let queries =
+            workload_from_links(left, right, &truth_iris, parse_flag(flags, "queries", 50)?);
+        if queries.is_empty() {
+            return Err("could not derive any federated query from the ground-truth links".into());
+        }
+        let engine = federated_engine(vec![left.clone(), right.clone()], None, flags)?;
+        Some((queries, engine))
+    } else {
+        None
     };
-    let initial_ids = to_ids(links);
-    let truth_ids: std::collections::HashSet<(u32, u32)> = to_ids(truth).into_iter().collect();
-    if truth_ids.is_empty() {
-        return Err("no ground-truth link references entities of these data sets".into());
-    }
-    eprintln!(
-        "initial links: {} usable of {}; ground truth: {} usable of {} \
-         (sources: {}, adversary: {}, trust: {})",
-        initial_ids.len(),
-        links.len(),
-        truth_ids.len(),
-        truth.len(),
-        robust.sources,
-        flag(flags, "adversary-profile").unwrap_or("none"),
-        if robust.trust.is_some() { "on" } else { "off" },
-    );
+    let note = match (&opts.durable, &query) {
+        (Some(d), _) => format!(" (durable: {})", d.state_dir),
+        (None, Some((queries, _))) => format!("; workload: {} queries", queries.len()),
+        (None, None) => format!(
+            " (sources: {}, adversary: {}, trust: {})",
+            robust.sources,
+            flag(flags, "adversary-profile").unwrap_or("none"),
+            if robust.trust.is_some() { "on" } else { "off" },
+        ),
+    };
+    let (initial, truth_pairs) = resolve_links(left, right, links, truth, &note)?;
 
+    let default_episode_size = if query.is_some() { 200 } else { 1000 };
     let cfg = AlexConfig {
-        episode_size: parse_flag(flags, "episode-size", 1000usize)?,
+        episode_size: parse_flag(flags, "episode-size", default_episode_size)?,
         max_episodes: parse_flag(flags, "episodes", 40usize)?,
         trust: robust.trust,
         ..AlexConfig::default()
     };
     let space = LinkSpace::build(left, right, &SpaceConfig::default());
-    let mut agent = Agent::new(space, &initial_ids, cfg.clone());
-    let error_rate: f64 = parse_flag(flags, "error-rate", 0.0f64)?;
-    let mut source = robust.make_source(&truth_ids, error_rate, cfg.seed);
-    let report = match guard.as_ref().map(GuardOpts::make_supervisor) {
-        Some(mut sup) => {
-            let report = driver::run_supervised(&mut agent, source.as_mut(), &truth_ids, &mut sup);
-            print_supervision(&sup, &report);
-            report
+    let ids = |pairs: &[(Term, Term)]| -> Vec<(u32, u32)> {
+        pairs
+            .iter()
+            .filter_map(|&(l, r)| Some((space.left_index().id(l)?, space.right_index().id(r)?)))
+            .collect()
+    };
+    let initial_ids = ids(&initial);
+    let truth_ids: HashSet<(u32, u32)> = ids(&truth_pairs).into_iter().collect();
+    // The query source stays concrete so the run can report the judgments
+    // it withheld.
+    let mut query_source = None;
+    let mut oracle_source: Box<dyn FeedbackSource>;
+    let source: &mut dyn FeedbackSource = match query {
+        Some((queries, engine)) => {
+            let bridge = FeedbackBridge::new(left, space.left_index(), right, space.right_index());
+            let source = query_source.insert(QueryFeedback::new(
+                engine,
+                left.clone(),
+                right.clone(),
+                queries,
+                bridge,
+                truth_ids.clone(),
+            ));
+            source.set_rewrite_sameas(flag(flags, "rewrite-sameas").is_some());
+            source
         }
-        None => driver::run(&mut agent, source.as_mut(), &truth_ids),
+        None => {
+            let (error_rate, seed) = (parse_flag(flags, "error-rate", 0.0f64)?, cfg.seed);
+            oracle_source = if robust.needs_population() {
+                let roles = assign_roles(robust.profile.as_ref(), robust.sources, seed);
+                let population =
+                    AdversarialPopulation::new(truth_ids.clone(), roles, error_rate, seed);
+                Box::new(population)
+            } else {
+                Box::new(OracleFeedback::with_error_rate(
+                    truth_ids.clone(),
+                    error_rate,
+                    seed,
+                ))
+            };
+            oracle_source.as_mut()
+        }
     };
+    let mut agent = Agent::new(space, &initial_ids, cfg);
 
-    let print_q = |tag: &str, q: Quality| {
-        println!(
-            "{tag:>8}  P {:.3}  R {:.3}  F {:.3}",
-            q.precision, q.recall, q.f_measure
-        );
-    };
-    print_q("initial", report.initial_quality);
-    for e in &report.episodes {
-        print_q(&format!("ep {}", e.episode), e.quality);
+    let mut store = None;
+    let mut durability = None;
+    if let Some(d) = &opts.durable {
+        let (opened, recovery) = alex::store::DirectStore::open(Path::new(&d.state_dir))
+            .map_err(|e| format!("cannot open state dir {}: {e}", d.state_dir))?;
+        if !recovery.is_fresh() {
+            eprintln!(
+                "recovering from {}: snapshot {}, {} journal episode(s){}",
+                d.state_dir,
+                recovery
+                    .snapshot
+                    .as_ref()
+                    .map(|(seq, _)| seq.to_string())
+                    .unwrap_or_else(|| "none".into()),
+                recovery.journal_tail.len(),
+                if recovery.repaired() {
+                    " (repaired torn/corrupt records)"
+                } else {
+                    ""
+                }
+            );
+        }
+        let mut settings = Durability::new(store.insert(opened), recovery)
+            .snapshot_every(d.snapshot_every)
+            .resume(d.resume);
+        if let Some(kill_after) = d.kill_after {
+            let mut commits_this_session = 0u64;
+            settings = settings.on_commit(move |episode| {
+                commits_this_session += 1;
+                if commits_this_session == kill_after {
+                    // A genuine SIGKILL — no unwinding, no destructors, no
+                    // flushing — exactly what the crash-safety tests need.
+                    eprintln!("kill-after: SIGKILL at episode {episode} commit");
+                    let _ = std::process::Command::new("kill")
+                        .args(["-9", &std::process::id().to_string()])
+                        .status();
+                    // Unreachable once the signal lands; sleep so we never
+                    // race past the commit boundary and run another episode.
+                    std::thread::sleep(Duration::from_secs(60));
+                }
+            });
+        }
+        durability = Some(settings);
     }
+    let mut supervisor = opts.guard;
+    let report = driver::run_with(
+        &mut agent,
+        source,
+        &truth_ids,
+        durability,
+        supervisor.as_mut(),
+    )?;
+
+    if let Some(sup) = &supervisor {
+        print_supervision(sup, &report);
+    }
+    print_run(
+        report.initial_quality,
+        &report.episodes,
+        report.stop,
+        report.total_duration,
+    );
     if let Some(gate) = agent.trust_gate() {
         eprintln!(
             "trust: {} admissions ({} revoked), {} votes pending on {} links, \
@@ -1275,135 +1216,19 @@ fn improve_robust(
             gate.discredited.len(),
         );
     }
-    println!(
-        "stopped: {:?} after {} episodes ({:.2?})",
-        report.stop,
-        report.episodes.len(),
-        report.total_duration
-    );
-
-    if let Some(out) = flag(flags, "out") {
-        let final_links = SameAsLinks::from_pairs(agent.candidates().iter().map(|id| {
-            let (lt, rt) = agent.space().pair_terms(id);
-            (left.resolve(lt).to_string(), right.resolve(rt).to_string())
-        }));
-        write_or_print(Some(out), &final_links.to_ntriples())?;
+    if let Some(source) = &query_source {
+        if source.degraded_total() > 0 {
+            eprintln!(
+                "{} judgment(s) withheld because queries degraded (skipped sources)",
+                source.degraded_total()
+            );
+        }
     }
-    telemetry.finish()
-}
-
-/// `improve --feedback query`: the paper's deployment loop. Feedback comes
-/// from judging federated query answers (via the bridge) instead of
-/// sampling the ground truth directly; with `--fault-profile` the
-/// federation degrades and the driver must cope.
-fn improve_with_query_feedback(
-    left: &Dataset,
-    right: &Dataset,
-    links: &SameAsLinks,
-    truth: &SameAsLinks,
-    flags: &Flags,
-    telemetry: &TelemetryOpts,
-) -> Result<(), String> {
-    let left_index = left.entity_index();
-    let right_index = right.entity_index();
-    let to_ids = |set: &SameAsLinks| -> Vec<(u32, u32)> {
-        set.iter()
-            .filter_map(|l| {
-                let lt = left.interner().get(&l.left).map(Term::Iri)?;
-                let rt = right.interner().get(&l.right).map(Term::Iri)?;
-                Some((left_index.id(lt)?, right_index.id(rt)?))
-            })
-            .collect()
-    };
-    let initial_ids = to_ids(links);
-    let truth_ids: std::collections::HashSet<(u32, u32)> = to_ids(truth).into_iter().collect();
-    if truth_ids.is_empty() {
-        return Err("no ground-truth link references entities of these data sets".into());
-    }
-
-    // Queries anchored on ground-truth links: each is answerable only by
-    // crossing a sameAs link, so its answers carry judgeable provenance.
-    let truth_iris: Vec<(String, String)> = truth
+    Ok(agent
+        .candidates()
         .iter()
-        .map(|l| (l.left.clone(), l.right.clone()))
-        .collect();
-    let queries = workload_from_links(left, right, &truth_iris, parse_flag(flags, "queries", 50)?);
-    if queries.is_empty() {
-        return Err("could not derive any federated query from the ground-truth links".into());
-    }
-    eprintln!(
-        "initial links: {} usable of {}; ground truth: {} usable of {}; workload: {} queries",
-        initial_ids.len(),
-        links.len(),
-        truth_ids.len(),
-        truth.len(),
-        queries.len()
-    );
-
-    let profile = fault_profile_from_flags(flags)?;
-    let mut engine = FederatedEngine::new();
-    engine.add_endpoint(make_endpoint(left.clone(), &profile));
-    engine.add_endpoint(make_endpoint(right.clone(), &profile));
-    if let Some(resilience) = resilience_from_flags(flags)? {
-        engine.set_resilience(resilience);
-    }
-    if let Some(capacity) = cache_opts(flags)? {
-        engine.enable_cache(capacity);
-    }
-    if let Some(catalog) = catalog_opts(flags) {
-        apply_catalog(&mut engine, &catalog)?;
-    }
-
-    let space = LinkSpace::build(left, right, &SpaceConfig::default());
-    let bridge = FeedbackBridge::new(left, space.left_index(), right, space.right_index());
-    let cfg = AlexConfig {
-        episode_size: parse_flag(flags, "episode-size", 200)?,
-        max_episodes: parse_flag(flags, "episodes", 40)?,
-        ..AlexConfig::default()
-    };
-    let mut agent = Agent::new(space, &initial_ids, cfg);
-    let mut source = QueryFeedback::new(
-        engine,
-        left.clone(),
-        right.clone(),
-        queries,
-        bridge,
-        truth_ids.clone(),
-    );
-    source.set_rewrite_sameas(flag(flags, "rewrite-sameas").is_some());
-    let report = driver::run(&mut agent, &mut source, &truth_ids);
-
-    let print_q = |tag: &str, q: Quality| {
-        println!(
-            "{tag:>8}  P {:.3}  R {:.3}  F {:.3}",
-            q.precision, q.recall, q.f_measure
-        );
-    };
-    print_q("initial", report.initial_quality);
-    for e in &report.episodes {
-        print_q(&format!("ep {}", e.episode), e.quality);
-    }
-    println!(
-        "stopped: {:?} after {} episodes ({:.2?})",
-        report.stop,
-        report.episodes.len(),
-        report.total_duration
-    );
-    if source.degraded_total() > 0 {
-        eprintln!(
-            "{} judgment(s) withheld because queries degraded (skipped sources)",
-            source.degraded_total()
-        );
-    }
-
-    if let Some(out) = flag(flags, "out") {
-        let final_links = SameAsLinks::from_pairs(agent.candidates().iter().map(|id| {
-            let (lt, rt) = agent.space().pair_terms(id);
-            (left.resolve(lt).to_string(), right.resolve(rt).to_string())
-        }));
-        write_or_print(Some(out), &final_links.to_ntriples())?;
-    }
-    telemetry.finish()
+        .map(|id| agent.space().pair_terms(id))
+        .collect())
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
@@ -1429,23 +1254,12 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     };
     let query = parse(&query_text).map_err(|e| format!("query: {e}"))?;
 
-    let profile = fault_profile_from_flags(&flags)?;
-    let mut engine = FederatedEngine::new();
-    for f in &data_files {
-        engine.add_endpoint(make_endpoint(load_dataset(f)?, &profile));
-    }
-    if let Some(links_path) = flag(&flags, "links") {
-        engine.set_links(load_links(links_path)?);
-    }
-    if let Some(resilience) = resilience_from_flags(&flags)? {
-        engine.set_resilience(resilience);
-    }
-    if let Some(capacity) = cache_opts(&flags)? {
-        engine.enable_cache(capacity);
-    }
-    if let Some(catalog) = catalog_opts(&flags) {
-        apply_catalog(&mut engine, &catalog)?;
-    }
+    let datasets = data_files
+        .iter()
+        .map(|f| load_dataset(f))
+        .collect::<Result<Vec<_>, _>>()?;
+    let links = flag(&flags, "links").map(load_links).transpose()?;
+    let engine = federated_engine(datasets, links, &flags)?;
 
     if query.kind == alex::sparql::QueryKind::Ask {
         let answer = engine.ask(&query).map_err(|e| format!("evaluation: {e}"))?;
@@ -1649,39 +1463,53 @@ mod tests {
 
     #[test]
     fn guard_flags_parse_and_validate() {
-        assert_eq!(guard_opts(&flags_of("--episodes 5")).unwrap(), None);
+        assert!(guard_opts(&flags_of("--episodes 5")).unwrap().is_none());
         let g = guard_opts(&flags_of("--episode-budget-ms 50"))
             .unwrap()
             .unwrap();
-        assert!(!g.budget.is_unlimited());
-        assert_eq!(g.policy, BreachPolicy::Stop);
+        assert!(!g.budget().is_unlimited());
+        assert_eq!(g.policy(), BreachPolicy::Stop);
         let g = guard_opts(&flags_of(
             "--run-budget-ms 1000 --max-rss-mb 512 --budget-policy continue",
         ))
         .unwrap()
         .unwrap();
-        assert_eq!(g.policy, BreachPolicy::Continue);
+        assert_eq!(g.policy(), BreachPolicy::Continue);
         let g = guard_opts(&flags_of("--episode-budget-ms 50 --partitions 1"))
             .unwrap()
             .unwrap();
-        assert_eq!(g.policy, BreachPolicy::Stop);
+        assert_eq!(g.policy(), BreachPolicy::Stop);
     }
 
     #[test]
     fn guard_flags_reject_bad_combinations() {
         let err = guard_opts(&flags_of("--budget-policy stop")).unwrap_err();
-        assert!(err.contains("requires a budget flag"), "{err}");
+        assert_eq!(
+            err,
+            "--budget-policy requires a budget flag \
+             (--episode-budget-ms, --run-budget-ms, or --max-rss-mb)"
+        );
         let err = guard_opts(&flags_of("--episode-budget-ms lots")).unwrap_err();
-        assert!(err.contains("episode-budget-ms"), "{err}");
+        assert_eq!(err, "invalid value 'lots' for --episode-budget-ms");
         let err = guard_opts(&flags_of(
             "--episode-budget-ms 50 --budget-policy sometimes",
         ))
         .unwrap_err();
-        assert!(err.contains("stop|continue"), "{err}");
-        let err = guard_opts(&flags_of("--episode-budget-ms 50 --feedback query")).unwrap_err();
-        assert!(err.contains("oracle"), "{err}");
-        let err = guard_opts(&flags_of("--episode-budget-ms 50 --partitions 4")).unwrap_err();
-        assert!(err.contains("single-partition"), "{err}");
+        assert_eq!(
+            err,
+            "--budget-policy: unknown budget policy \"sometimes\" (expected stop|continue)"
+        );
+        let err = improve_opts(&flags_of("--episode-budget-ms 5 --feedback query")).unwrap_err();
+        assert_eq!(
+            err,
+            "budget supervision requires oracle feedback: \
+             the supervisor wraps the single-partition driver loop"
+        );
+        let err = improve_opts(&flags_of("--episode-budget-ms 50 --partitions 4")).unwrap_err();
+        assert_eq!(
+            err,
+            "budget supervision runs are single-partition; drop --partitions or set it to 1"
+        );
     }
 
     #[test]
@@ -1695,11 +1523,56 @@ mod tests {
         let err =
             robustness_opts(&flags_of("--trust --adversary-profile gremlin:0.3")).unwrap_err();
         assert!(err.contains("adversary"), "{err}");
-        let err = robustness_opts(&flags_of("--trust --feedback query")).unwrap_err();
+        let err = improve_opts(&flags_of("--trust --feedback query")).unwrap_err();
         assert!(err.contains("oracle"), "{err}");
-        let err = robustness_opts(&flags_of("--trust --partitions 4")).unwrap_err();
+        let err = improve_opts(&flags_of("--trust --partitions 4")).unwrap_err();
         assert!(err.contains("single-partition"), "{err}");
-        assert!(robustness_opts(&flags_of("--trust --partitions 1")).is_ok());
+        assert!(improve_opts(&flags_of("--trust --partitions 1")).is_ok());
+    }
+
+    #[test]
+    fn feedback_value_is_checked_before_other_rules() {
+        for line in ["--feedback bogus", "--trust --feedback bogus"] {
+            let err = improve_opts(&flags_of(line)).unwrap_err();
+            assert_eq!(err, "--feedback must be 'oracle' or 'query', got 'bogus'");
+        }
+    }
+
+    #[test]
+    fn query_feedback_rejects_partitions_and_error_rate() {
+        let err = improve_opts(&flags_of(
+            "--feedback query --partitions 4 --error-rate 0.5",
+        ))
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "query feedback runs are single-partition; drop --partitions or set it to 1"
+        );
+        let err = improve_opts(&flags_of("--feedback query --error-rate 0.5")).unwrap_err();
+        assert_eq!(
+            err,
+            "--error-rate requires oracle feedback: it sets the oracle's judgment error rate"
+        );
+        assert!(improve_opts(&flags_of("--feedback query --partitions 1")).is_ok());
+        // Oracle runs take both, and --cache stays accepted but inert.
+        assert!(improve_opts(&flags_of("--partitions 4 --error-rate 0.5 --cache")).is_ok());
+    }
+
+    #[test]
+    fn improve_modes_pick_the_run_path() {
+        let single_agent = |line: &str| improve_opts(&flags_of(line)).unwrap().is_some();
+        assert!(!single_agent("--partitions 4 --error-rate 0.1"));
+        assert!(!single_agent("--partitions 1 --feedback oracle"));
+        for line in [
+            "--feedback query",
+            "--state-dir /tmp/s",
+            "--trust",
+            "--sources 1",
+            "--adversary-profile poisoner:0.3",
+            "--episode-budget-ms 50",
+        ] {
+            assert!(single_agent(line), "{line}");
+        }
     }
 
     #[test]
@@ -1816,17 +1689,17 @@ mod tests {
 
     #[test]
     fn state_dir_rejects_multiple_partitions() {
-        let err = durable_opts(&flags_of("--state-dir /tmp/s --partitions 4")).unwrap_err();
+        let err = improve_opts(&flags_of("--state-dir /tmp/s --partitions 4")).unwrap_err();
         assert!(err.contains("single-partition"), "{err}");
         // Explicit --partitions 1 is fine.
-        assert!(durable_opts(&flags_of("--state-dir /tmp/s --partitions 1")).is_ok());
+        assert!(improve_opts(&flags_of("--state-dir /tmp/s --partitions 1")).is_ok());
     }
 
     #[test]
     fn state_dir_rejects_query_feedback() {
-        let err = durable_opts(&flags_of("--state-dir /tmp/s --feedback query")).unwrap_err();
+        let err = improve_opts(&flags_of("--state-dir /tmp/s --feedback query")).unwrap_err();
         assert!(err.contains("oracle feedback"), "{err}");
-        assert!(durable_opts(&flags_of("--state-dir /tmp/s --feedback oracle")).is_ok());
+        assert!(improve_opts(&flags_of("--state-dir /tmp/s --feedback oracle")).is_ok());
     }
 
     #[test]

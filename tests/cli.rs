@@ -370,3 +370,130 @@ fn turtle_files_are_accepted() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("2"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--feedback query` judges answers against --truth, so flags that only
+/// shape the partitioned oracle run are rejected instead of ignored.
+#[test]
+fn query_feedback_rejects_oracle_only_flags() {
+    let dir = workdir("query-flags");
+    let data = dir.join("d.nt");
+    std::fs::write(&data, "<http://e/a> <http://e/p> \"v\" .\n").expect("write");
+    let d = data.to_string_lossy().to_string();
+    let run = |extra: &[&str]| {
+        let mut args = vec!["improve", &d, &d, "--links", &d, "--truth", &d];
+        args.extend(extra);
+        alex().args(&args).output().expect("spawn")
+    };
+
+    let out = run(&[
+        "--feedback",
+        "query",
+        "--partitions",
+        "4",
+        "--error-rate",
+        "0.5",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("query feedback runs are single-partition"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let out = run(&["--feedback", "query", "--error-rate", "0.5"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--error-rate requires oracle feedback"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let out = run(&["--trust", "--feedback", "bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--feedback must be 'oracle' or 'query'"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Durability, a one-source population, and an unbreachable budget are
+/// layers on the same single-agent loop: none may change the links.
+#[test]
+fn single_agent_modes_write_identical_links() {
+    let dir = workdir("single-agent");
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let ok = |out: std::process::Output| {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    ok(alex()
+        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "7"])
+        .output()
+        .expect("spawn gen"));
+    ok(alex()
+        .args([
+            "link",
+            &p("left.nt"),
+            &p("right.nt"),
+            "--threshold",
+            "0.95",
+            "--out",
+            &p("links.nt"),
+        ])
+        .output()
+        .expect("spawn link"));
+
+    let improve = |out_file: &str, extra: &[&str]| {
+        let (left, right, links, truth, out) = (
+            p("left.nt"),
+            p("right.nt"),
+            p("links.nt"),
+            p("truth.nt"),
+            p(out_file),
+        );
+        let mut args = vec![
+            "improve",
+            &left,
+            &right,
+            "--links",
+            &links,
+            "--truth",
+            &truth,
+            "--episodes",
+            "8",
+            "--episode-size",
+            "50",
+            "--error-rate",
+            "0.1",
+            "--out",
+            &out,
+        ];
+        args.extend(extra);
+        ok(alex().args(&args).output().expect("spawn improve"));
+        std::fs::read(&out).expect("improved links")
+    };
+    let state_dir = p("state");
+    let durable = improve("durable.nt", &["--state-dir", &state_dir]);
+    let population = improve("sources.nt", &["--sources", "1"]);
+    let supervised = improve(
+        "supervised.nt",
+        &[
+            "--episode-budget-ms",
+            "3600000",
+            "--budget-policy",
+            "continue",
+        ],
+    );
+    assert!(!durable.is_empty());
+    assert_eq!(durable, population, "--sources 1 diverged from --state-dir");
+    assert_eq!(
+        durable, supervised,
+        "budgeted run diverged from --state-dir"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
